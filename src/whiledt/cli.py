@@ -63,6 +63,8 @@ def parse_schedule(spec) -> list:
         raise ValueError("schedule is empty")
     if any(b <= a for a, b in zip(stages, stages[1:])):
         raise ValueError("schedule must be strictly increasing")
+    if stages[0] < 0:
+        raise ValueError(f"stage indices must be >= 0 in schedule {spec!r}")
     return stages
 
 
@@ -95,7 +97,6 @@ def build_run_report(
     cmp_fuel=4096,
     cost_model=None,
     use_fast_path=True,
-    parallel=False,
 ):
     """Execute the stages and assemble the full report; returns
     (report, all_stages_halted)."""
@@ -109,7 +110,6 @@ def build_run_report(
         cmp_fuel=cmp_fuel,
         cost_model=model,
         use_fast_path=use_fast_path,
-        parallel=parallel,
     )
     warnings = []
     for n, st in zip(seq.schedule, seq.statuses):
@@ -124,7 +124,7 @@ def build_run_report(
         except InsufficientStages as e:
             verdicts[var] = None
             warnings.append(f"output {var}: {e}")
-        if verdicts[var] is not None and getattr(verdicts[var], "heuristic", False):
+        if verdicts[var] is not None and verdicts[var].heuristic:
             warnings.append(
                 f"output {var}: verdict is HEURISTIC (finite stage prefix only)"
             )
@@ -229,7 +229,6 @@ def cmd_run(args) -> int:
             cmp_fuel=args.cmp_fuel,
             cost_model=model,
             use_fast_path=not args.no_fast_path,
-            parallel=args.parallel,
         )
     except (EvalError, WhdtError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -282,7 +281,7 @@ def parse_expectations(source):
     return exp
 
 
-def verify_corpus_file(path, parallel=False):
+def verify_corpus_file(path):
     """Run one corpus program against its embedded expectations.
 
     Returns (report, failures) where failures is a list of mismatch
@@ -313,7 +312,6 @@ def verify_corpus_file(path, parallel=False):
         binding,
         dict(exp["oracles"]),
         cost_model=model,
-        parallel=parallel,
     )
     failures = []
     if not ok:
@@ -350,7 +348,7 @@ def cmd_corpus(args) -> int:
     results = []
     for path in files:
         try:
-            report, failures = verify_corpus_file(path, parallel=args.parallel)
+            report, failures = verify_corpus_file(path)
         except (WhdtError, ValueError, OSError) as e:
             report, failures = None, [str(e)]
         results.append((path.name, report, failures))
@@ -413,15 +411,12 @@ def build_arg_parser():
     run.add_argument("--cost-config", metavar="PATH",
                      help="key = value file with cost model settings")
     run.add_argument("--report", choices=("text", "json"), default="text")
-    run.add_argument("--parallel", action="store_true",
-                     help="evaluate stages concurrently (same results)")
     run.add_argument("--no-fast-path", action="store_true",
                      help="disable the digit fast path; pure interval refinement")
     run.set_defaults(func=cmd_run)
     corpus = sub.add_parser("corpus", help="verify the bundled corpus")
     corpus.add_argument("--dir", help=f"corpus directory (or ${CORPUS_ENV})")
     corpus.add_argument("--report", choices=("text", "json"), default="text")
-    corpus.add_argument("--parallel", action="store_true")
     corpus.set_defaults(func=cmd_corpus)
     return parser
 

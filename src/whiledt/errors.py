@@ -26,8 +26,8 @@ class DivisionByZero(EvalError):
 class UnresolvedComparison(EvalError):
     """An exact comparison could not be separated within the refinement fuel.
 
-    Carries the fuel limit that was exhausted and the last witness
-    enclosures of both operands (when available).
+    Carries the fuel limit that was exhausted, and as `witnesses` a 1-tuple
+    of the last enclosure read (None when the fuel ran out before the first).
     """
 
     kind = "unresolved-comparison"

@@ -11,6 +11,7 @@ value lies in [0, 3/2] and partial sums approach it from below.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -298,25 +299,37 @@ def div(a, b, affine=True, fuel_limit=DEFAULT_FUEL, recorder=None):
         if affine and isinstance(a, Affine):
             return _affine(a.offset / b.value, a.coeff / b.value, a.stream)
         return SymExpr("/", a, b)
-    prec = _separate_from_zero(b, fuel_limit, recorder)
+    prec = _decide(
+        _depth_enclosures(b, Fuel(fuel_limit), recorder),
+        lambda j, iv: None if 0 in iv else j,
+        "divisor cannot be separated from zero within fuel {fuel};"
+        " last enclosure {last}",
+        fuel_limit,
+    )
     return SymExpr("/", a, b, den_prec=prec)
 
 
-def _separate_from_zero(x, fuel_limit, recorder):
-    fuel = Fuel(fuel_limit)
+def _decide(enclosures, verdict, refusal, fuel_limit):
+    """The refinement loop behind every exact comparison, floor and divisor
+    check: read shrinking enclosures until one decides, or refuse.
+
+    `enclosures` yields (step, Interval) pairs and `verdict(step, iv)`
+    returns the answer, or None while the enclosure is undecided.  When
+    the digit fuel runs out the loop raises UnresolvedComparison with
+    `refusal` formatted with the fuel limit and the last enclosure read.
+    """
     last = None
-    for j in _depths():
-        try:
-            last = _enclose(x, j, fuel, recorder)
-        except OracleQueryLimit:
-            raise UnresolvedComparison(
-                "divisor cannot be separated from zero within fuel"
-                f" {fuel_limit}; last enclosure {last}",
-                fuel=fuel_limit,
-                witnesses=(last,),
-            ) from None
-        if Fraction(0) not in last:
-            return j
+    try:
+        for step, last in enclosures:
+            answer = verdict(step, last)
+            if answer is not None:
+                return answer
+    except OracleQueryLimit:
+        raise UnresolvedComparison(
+            refusal.format(fuel=fuel_limit, last=last),
+            fuel=fuel_limit,
+            witnesses=(last,),
+        ) from None
 
 
 def _depths():
@@ -331,24 +344,34 @@ def _depths():
         j = max(j + 1, 2 * j)
 
 
-def _sign_enclosures(d, fuel, recorder):
-    """Shrinking enclosures of d for sign searches.
+def _depth_enclosures(x, fuel, recorder):
+    """(j, enclosure at depth j) for the geometric depth schedule."""
+    for j in _depths():
+        yield j, _enclose(x, j, fuel, recorder)
 
-    Affine values advance one digit at a time (so decoding programs issue
-    exactly the digits they need); general DAGs use the geometric depth
-    schedule.
+
+def _enclosures(x, fuel, recorder):
+    """Shrinking enclosures of x for sign and floor searches.
+
+    Affine values advance one digit at a time, so decoding programs issue
+    exactly the digits they need: the floor of 3**k times a stream reads
+    exactly the digits d_0..d_k.  General DAGs use the depth schedule.
     """
-    if isinstance(d, Affine):
+    if isinstance(x, Affine):
         m = 0
         while True:
-            s = d.stream.prefix_sum(m, fuel, recorder)
-            a = d.offset + d.coeff * s
-            b = d.offset + d.coeff * (s + tail_bound(m))
-            yield Interval(min(a, b), max(a, b))
+            yield m, _affine_enclosure(x, m, fuel, recorder)
             m += 1
     else:
-        for j in _depths():
-            yield _enclose(d, j, fuel, recorder)
+        yield from _depth_enclosures(x, fuel, recorder)
+
+
+def _affine_enclosure(x, m, fuel, recorder):
+    """x's enclosure with m digits of its stream read."""
+    s = x.stream.prefix_sum(m, fuel, recorder)
+    a = x.offset + x.coeff * s
+    b = x.offset + x.coeff * (s + tail_bound(m))
+    return Interval(min(a, b), max(a, b))
 
 
 def _enclose(x, j, fuel=None, recorder=None) -> Interval:
@@ -356,11 +379,7 @@ def _enclose(x, j, fuel=None, recorder=None) -> Interval:
     if isinstance(x, Rat):
         return Interval(x.value, x.value)
     if isinstance(x, Affine):
-        m = j + 1
-        s = x.stream.prefix_sum(m, fuel, recorder)
-        a = x.offset + x.coeff * s
-        b = x.offset + x.coeff * (s + tail_bound(m))
-        return Interval(min(a, b), max(a, b))
+        return _affine_enclosure(x, j + 1, fuel, recorder)
     if isinstance(x, SymExpr):
         li = _enclose(x.lhs, j, fuel, recorder)
         if x.op == "/":
@@ -403,10 +422,7 @@ def refine(x, k, fuel=None, recorder=None) -> Interval:
         c = abs(x.coeff)
         while c * tail_bound(m) > target:
             m += 1
-        s = x.stream.prefix_sum(m, fuel, recorder)
-        a = x.offset + x.coeff * s
-        b = x.offset + x.coeff * (s + tail_bound(m))
-        return Interval(min(a, b), max(a, b))
+        return _affine_enclosure(x, m, fuel, recorder)
     j = k
     while True:
         iv = _enclose(x, j, fuel, recorder)
@@ -415,17 +431,8 @@ def refine(x, k, fuel=None, recorder=None) -> Interval:
         j += 1
 
 
-def structural_eq(a, b):
-    """Equality of representations, not of mathematical values."""
-    return _coerce(a) == _coerce(b)
-
-
-def _witnesses(a, b, recorder=None):
-    # Small fixed-depth enclosures for error payloads; bounded work.
-    try:
-        return (_enclose(a, 4, None, recorder), _enclose(b, 4, None, recorder))
-    except Exception:
-        return None
+def _sign(_, iv):
+    return GT if iv.lo > 0 else LT if iv.hi < 0 else None
 
 
 def compare(a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
@@ -436,44 +443,37 @@ def compare(a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     forever and surface as UnresolvedComparison.
     """
     a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        if a.value < b.value:
-            return LT
-        if a.value > b.value:
-            return GT
-        return EQ
-    if structural_eq(a, b):
+    if a == b:
         return EQ
     d = sub(a, b)
     if isinstance(d, Rat):
-        if d.value < 0:
-            return LT
-        if d.value > 0:
-            return GT
-        return EQ
-    fuel = Fuel(fuel_limit)
-    enclosures = _sign_enclosures(d, fuel, recorder)
-    while True:
-        try:
-            iv = next(enclosures)
-        except OracleQueryLimit:
-            raise UnresolvedComparison(
-                f"comparison unresolved after {fuel_limit} digit queries",
-                fuel=fuel_limit,
-                witnesses=_witnesses(a, b, recorder),
-            ) from None
-        if iv.lo > 0:
-            return GT
-        if iv.hi < 0:
-            return LT
+        return LT if d.value < 0 else GT if d.value > 0 else EQ
+    return _decide(
+        _enclosures(d, Fuel(fuel_limit), recorder),
+        _sign,
+        "comparison unresolved after {fuel} digit queries",
+        fuel_limit,
+    )
 
 
-_PREDICATES = {
-    # op: (truth when sign of lhs-rhs is certified negative / zero-or-pos ...)
-    "<": lambda lo, hi: (True if hi < 0 else (False if lo >= 0 else None)),
-    "<=": lambda lo, hi: (True if hi <= 0 else (False if lo > 0 else None)),
-    ">": lambda lo, hi: (True if lo > 0 else (False if hi <= 0 else None)),
-    ">=": lambda lo, hi: (True if lo >= 0 else (False if hi < 0 else None)),
+# The six comparison operators on rationals, and on an enclosure [lo, hi]
+# of lhs - rhs: True or False once the enclosure decides, else None.  `=`
+# can only ever be refuted numerically, and `!=` only confirmed.
+RAT_CMP = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "!=": operator.ne,
+}
+_ENCLOSURE_CMP = {
+    "<": lambda lo, hi: True if hi < 0 else (False if lo >= 0 else None),
+    "<=": lambda lo, hi: True if hi <= 0 else (False if lo > 0 else None),
+    ">": lambda lo, hi: True if lo > 0 else (False if hi <= 0 else None),
+    ">=": lambda lo, hi: True if lo >= 0 else (False if hi < 0 else None),
+    "=": lambda lo, hi: False if (lo > 0 or hi < 0) else None,
+    "!=": lambda lo, hi: True if (lo > 0 or hi < 0) else None,
 }
 
 
@@ -484,52 +484,26 @@ def cmp_holds(op, a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     `x >= 1` is certified true as soon as the enclosure's closed lower end
     reaches 1, even when x may equal 1 exactly.
     """
+    if op not in RAT_CMP:
+        raise ValueError(f"unknown comparison operator {op!r}")
     a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        return _rat_cmp(op, a.value, b.value)
-    if structural_eq(a, b):
+    if a == b:
         return op in ("<=", ">=", "=")
     d = sub(a, b)
     if isinstance(d, Rat):
-        return _rat_cmp(op, d.value, Fraction(0))
-    fuel = Fuel(fuel_limit)
-    enclosures = _sign_enclosures(d, fuel, recorder)
-    while True:
-        try:
-            iv = next(enclosures)
-        except OracleQueryLimit:
-            raise UnresolvedComparison(
-                f"guard `{op}` unresolved after {fuel_limit} digit queries",
-                fuel=fuel_limit,
-                witnesses=_witnesses(a, b, recorder),
-            ) from None
-        if op in _PREDICATES:
-            verdict = _PREDICATES[op](iv.lo, iv.hi)
-        elif op == "=":
-            # Can only ever be refuted numerically.
-            verdict = False if (iv.lo > 0 or iv.hi < 0) else None
-        elif op == "!=":
-            verdict = True if (iv.lo > 0 or iv.hi < 0) else None
-        else:
-            raise ValueError(f"unknown comparison operator {op!r}")
-        if verdict is not None:
-            return verdict
+        return RAT_CMP[op](d.value, 0)
+    holds = _ENCLOSURE_CMP[op]
+    return _decide(
+        _enclosures(d, Fuel(fuel_limit), recorder),
+        lambda _, iv: holds(iv.lo, iv.hi),
+        f"guard `{op}` unresolved after {{fuel}} digit queries",
+        fuel_limit,
+    )
 
 
-def _rat_cmp(op, x, y):
-    if op == "<":
-        return x < y
-    if op == "<=":
-        return x <= y
-    if op == ">":
-        return x > y
-    if op == ">=":
-        return x >= y
-    if op == "=":
-        return x == y
-    if op == "!=":
-        return x != y
-    raise ValueError(f"unknown comparison operator {op!r}")
+def _common_floor(_, iv):
+    lo = math.floor(iv.lo)
+    return lo if lo == math.floor(iv.hi) else None
 
 
 def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Rat:
@@ -537,46 +511,14 @@ def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Rat:
     x = _coerce(x)
     if isinstance(x, Rat):
         return Rat(Fraction(math.floor(x.value)))
-    fuel = Fuel(fuel_limit)
-    if isinstance(x, Affine):
-        return _floor_affine(x, fuel, recorder, fuel_limit)
-    last = None
-    for j in _depths():
-        try:
-            last = _enclose(x, j, fuel, recorder)
-        except OracleQueryLimit:
-            raise UnresolvedComparison(
-                f"floor sits at an integer boundary beyond fuel {fuel_limit};"
-                f" last enclosure {last}",
-                fuel=fuel_limit,
-                witnesses=(last,),
-            ) from None
-        lo, hi = math.floor(last.lo), math.floor(last.hi)
-        if lo == hi:
-            return Rat(Fraction(lo))
-
-
-def _floor_affine(x, fuel, recorder, fuel_limit):
-    # Digit-exact path: extend the prefix one digit at a time until both
-    # enclosure ends share a floor.  For offset 0 and coeff 3**k this reads
-    # exactly the digits d_0..d_k.
-    m = 0
-    while True:
-        try:
-            s = x.stream.prefix_sum(m, fuel, recorder)
-        except OracleQueryLimit:
-            raise UnresolvedComparison(
-                f"floor sits at an integer boundary beyond fuel {fuel_limit}",
-                fuel=fuel_limit,
-                witnesses=_witnesses(x, Rat(Fraction(0)), recorder),
-            ) from None
-        a = x.offset + x.coeff * s
-        b = x.offset + x.coeff * (s + tail_bound(m))
-        lo, hi = min(a, b), max(a, b)
-        fl, fh = math.floor(lo), math.floor(hi)
-        if fl == fh:
-            return Rat(Fraction(fl))
-        m += 1
+    fl = _decide(
+        _enclosures(x, Fuel(fuel_limit), recorder),
+        _common_floor,
+        "floor sits at an integer boundary beyond fuel {fuel};"
+        " last enclosure {last}",
+        fuel_limit,
+    )
+    return Rat(Fraction(fl))
 
 
 def digit_extract(x, k, recorder=None):

@@ -1,14 +1,14 @@
 """One internal report value with deterministic text and JSON renderings.
 
 Rationals are serialized as exact `p/q` strings, so the JSON form is
-lossless and byte-stable across runs (and across sequential vs concurrent
-stage execution).
+lossless and byte-stable across repeated runs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from . import hyperreal
@@ -23,13 +23,21 @@ from .hyperreal import (
 )
 
 
+def fmt_rational(q):
+    """`p/q` or `p`, as str(Fraction) writes it, but also for numbers past
+    Python's int-to-str digit limit, which does not apply to Decimal."""
+    if q.denominator == 1:
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
 def fmt_value(v):
     if v is None:
         return None
     if isinstance(v, Rat):
-        return str(v.value)
+        return fmt_rational(v.value)
     if isinstance(v, Fraction):
-        return str(v)
+        return fmt_rational(v)
     return f"symbolic:{v!r}"
 
 
@@ -100,13 +108,13 @@ def _verdict_dict(cls):
         d = {
             "class": "convergent",
             "limit_estimate": fmt_value(cls.limit_estimate),
-            "gap_trend": [str(g) for g in cls.gap_trend],
+            "gap_trend": [fmt_rational(g) for g in cls.gap_trend],
         }
     elif isinstance(cls, Irregular):
         d = {"class": "irregular"}
     else:
         raise TypeError(f"not a hyperreal class: {cls!r}")
-    d["heuristic"] = bool(getattr(cls, "heuristic", True))
+    d["heuristic"] = cls.heuristic
     d["standard_part"] = part_json
     return d
 
@@ -126,7 +134,7 @@ def _supertask_dict(st):
         return None
     d = {"class": st.kind, "detail": st.detail}
     if st.bound is not None:
-        d["bound"] = str(st.bound)
+        d["bound"] = fmt_rational(st.bound)
     return d
 
 
@@ -152,10 +160,10 @@ class Report:
                 "outputs": {
                     var: fmt_value(vals[i]) for var, vals in seq.outputs.items()
                 },
-                "cost_total": str(seq.ledgers[i].total),
+                "cost_total": fmt_rational(seq.ledgers[i].total),
                 "oracle_queries": seq.ledgers[i].oracle_queries,
                 "peak_store": seq.ledgers[i].peak_store,
-                "loop_iterations": dict(sorted(_iters(seq, i).items())),
+                "loop_iterations": dict(sorted(seq.loop_iterations[i].items())),
             }
             if seq.energy_values is not None:
                 row["energy"] = fmt_value(seq.energy_values[i])
@@ -164,7 +172,7 @@ class Report:
         return {
             "program": self.program,
             "schedule": list(seq.schedule),
-            "inputs": [str(v) for v in self.inputs],
+            "inputs": [fmt_rational(v) for v in self.inputs],
             "oracles": dict(sorted(self.oracles.items())),
             "stages": stages,
             "outputs": {var: _verdict_dict(v) for var, v in self.verdicts.items()},
@@ -264,11 +272,3 @@ def _verdict_text(vd):
         return "unclassified (insufficient stages)"
     return c
 
-
-def _iters(seq, i):
-    # loop_iterations is tracked per StageResult; the sequence keeps ledgers
-    # only, so recover from the ledger's subtotal keys when absent.
-    res = getattr(seq, "loop_iterations", None)
-    if res is not None:
-        return res[i]
-    return {}

@@ -39,7 +39,12 @@ class CostModel:
         kw = {}
         for key, value in items:
             if key in ("assign_cost", "guard_cost", "oracle_cost"):
-                kw[key] = Fraction(value)
+                try:
+                    kw[key] = Fraction(value)
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(
+                        f"{key} expects an exact rational, got {value!r}"
+                    ) from None
             elif key == "clock_vars":
                 kw["clock_vars"] = frozenset(
                     v.strip() for v in value.split(",") if v.strip()

@@ -10,7 +10,6 @@ into an explicit FuelExhausted halt status rather than a hang.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -195,7 +194,6 @@ def eval_stages(
     cost_model=None,
     use_fast_path=True,
     energy_var=None,
-    parallel=False,
 ) -> StageSequence:
     """Run every stage of the schedule; per-stage errors are recorded in
     place and do not abort the other stages."""
@@ -208,7 +206,8 @@ def eval_stages(
     if energy_var is None:
         energy_var = model.energy_var
 
-    def one(n):
+    results = []
+    for n in schedule:
         ctx = StageContext.for_stage(
             n,
             step_fuel=step_fuel,
@@ -216,13 +215,7 @@ def eval_stages(
             cost_model=model,
             use_fast_path=use_fast_path,
         )
-        return eval_stage(program, inputs, ctx, oracles)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(one, schedule))
-    else:
-        results = [one(n) for n in schedule]
+        results.append(eval_stage(program, inputs, ctx, oracles))
 
     outputs = {
         var: [r.store.get(var) if r.status.ok else None for r in results]
@@ -361,19 +354,9 @@ def _nat(value, what):
     return int(value.value)
 
 
-_RAT_CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-
 def _cmp(op, lhs, rhs, run):
     if type(lhs) is Rat and type(rhs) is Rat:
-        return _RAT_CMP[op](lhs.value, rhs.value)
+        return exactnum.RAT_CMP[op](lhs.value, rhs.value)
     before = run.recorder.count
     result = exactnum.cmp_holds(
         op, lhs, rhs, fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder

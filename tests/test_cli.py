@@ -7,6 +7,8 @@ import pytest
 
 from conftest import CORPUS
 from whiledt.cli import main, parse_rational, parse_schedule
+from whiledt.exactnum import Rat
+from whiledt.report import fmt_rational, fmt_value
 from whiledt.semantics import DEFAULT_SCHEDULE
 
 
@@ -31,6 +33,8 @@ def test_parse_schedule_forms():
         parse_schedule("")
     with pytest.raises(ValueError):
         parse_schedule("0..3+tripling:2")
+    with pytest.raises(ValueError):
+        parse_schedule("-1..9")
 
 
 def test_parse_rational_forms():
@@ -123,6 +127,15 @@ def test_run_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "run", "/nonexistent/prog.whdt")
     assert code == 2
+    for flag in ("--stages=-1..9", "--cost=assign_cost=1/0"):
+        code, out, err = run_cli(capsys, "run", corpus_file("thomson.whdt"), flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parallel_flag_is_gone(capsys):
+    assert run_cli(capsys, "run", corpus_file("thomson.whdt"), "--parallel")[0] == 2
+    assert run_cli(capsys, "corpus", "--parallel")[0] == 2
 
 
 def test_run_parse_error_exits_one(tmp_path, capsys):
@@ -248,3 +261,13 @@ def test_no_fast_path_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["outputs"]["y"]["value"] == "1"
+
+
+def test_report_renders_rationals_past_the_int_digit_limit():
+    big = 7 * 10**4999 + 3  # 5,000 digits, past str(int)'s default limit
+    digits = "7" + "0" * 4998 + "3"
+    assert fmt_value(Rat(Fraction(big, 9))) == f"{digits}/9"
+    assert fmt_value(Fraction(-big)) == f"-{digits}"
+    assert fmt_rational(Fraction(2, big)) == f"2/{digits}"
+    for q in (Fraction(0), Fraction(-5), Fraction(37, 10), Fraction(-2, 3), 7):
+        assert fmt_value(Rat(Fraction(q))) == fmt_rational(q) == str(q)

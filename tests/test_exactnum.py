@@ -1,9 +1,12 @@
 """Exact numerics: rational arithmetic, enclosures, comparison, floor."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_stream, stream_value, true_value
 from whiledt.errors import DivisionByZero, OracleQueryLimit, UnresolvedComparison
@@ -11,6 +14,7 @@ from whiledt.exactnum import (
     EQ,
     GT,
     LT,
+    RAT_CMP,
     Fuel,
     Rat,
     add,
@@ -21,6 +25,7 @@ from whiledt.exactnum import (
     exact,
     floor_value,
     mul,
+    neg,
     oracle_const,
     refine,
     sub,
@@ -300,3 +305,111 @@ def test_compare_strict_order_sample():
         a, b, c = sorted(rng.sample(vals, 3), key=lambda r: r.value)
         if compare(a, b) == LT and compare(b, c) == LT:
             assert compare(a, c) == LT
+
+
+# The one refinement loop: every caller's refusal, and agreement with the
+# true values wherever an answer comes back.
+
+
+def _exactly_one():
+    return oracle_const(finite_stream("A", [1]))  # value exactly 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda r: compare(r, exact(1), 10),
+            "comparison unresolved after 10 digit queries",
+        ),
+        (
+            lambda r: cmp_holds(">", r, exact(1), 10),
+            "guard `>` unresolved after 10 digit queries",
+        ),
+        (
+            lambda r: floor_value(neg(r), 10),
+            "floor sits at an integer boundary beyond fuel 10;"
+            " last enclosure [-55/54, -1]",
+        ),
+        (
+            lambda r: floor_value(mul(exact(-1), r, affine=False), 10),
+            "floor sits at an integer boundary beyond fuel 10;"
+            " last enclosure [-19/18, -1]",
+        ),
+        (
+            lambda r: div(exact(1), sub(r, exact(1), affine=False), fuel_limit=10),
+            "divisor cannot be separated from zero within fuel 10;"
+            " last enclosure [0, 1/18]",
+        ),
+    ],
+    ids=["compare", "cmp_holds", "floor-affine", "floor-general", "div"],
+)
+def test_refusal_messages(call, message):
+    with pytest.raises(UnresolvedComparison) as exc:
+        call(_exactly_one())
+    assert str(exc.value) == message
+    assert exc.value.fuel == 10
+
+
+PROPERTY_FUEL = 300
+_digits = st.lists(st.integers(0, 1), max_size=10)
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_leaf = st.one_of(
+    st.tuples(st.just("rat"), _small),
+    st.tuples(st.just("stream"), st.integers(0, 1), _small, _small.filter(bool)),
+)
+_tree = st.recursive(
+    _leaf,
+    lambda sub_tree: st.tuples(st.sampled_from("+-*"), sub_tree, sub_tree),
+    max_leaves=4,
+)
+
+
+def _build(tree, streams, affine):
+    if tree[0] == "rat":
+        return exact(tree[1])
+    if tree[0] == "stream":
+        _, i, offset, coeff = tree
+        scaled = mul(exact(coeff), oracle_const(streams[i]), affine=affine)
+        return add(exact(offset), scaled, affine=affine)
+    op, lhs, rhs = tree
+    build = {"+": add, "-": sub, "*": mul}[op]
+    return build(_build(lhs, streams, affine), _build(rhs, streams, affine), affine=affine)
+
+
+def _resolved(call):
+    try:
+        return call()
+    except UnresolvedComparison:
+        return None
+
+
+def _check_against_truth(a, b, affine):
+    va, vb = true_value(a), true_value(b)
+    for op in RAT_CMP:
+        got = _resolved(lambda: cmp_holds(op, a, b, PROPERTY_FUEL))
+        assert got in (None, RAT_CMP[op](va, vb))
+    got = _resolved(lambda: compare(a, b, PROPERTY_FUEL))
+    assert got in (None, LT if va < vb else GT if va > vb else EQ)
+    got = _resolved(lambda: floor_value(a, PROPERTY_FUEL))
+    assert got in (None, Rat(Fraction(math.floor(va))))
+    if b == exact(0):
+        return
+    got = _resolved(lambda: div(a, b, affine, PROPERTY_FUEL))
+    if vb == 0:
+        assert got is None  # a zero divisor never separates from zero
+    elif got is not None:
+        assert true_value(got) == va / vb
+
+
+@settings(max_examples=100, deadline=None)
+@given(_digits, _digits, _tree, _tree, st.booleans())
+def test_refinement_loop_agrees_with_true_values(da, db, ta, tb, affine):
+    streams = (finite_stream("A", da), finite_stream("B", db))
+    a, b = _build(ta, streams, affine), _build(tb, streams, affine)
+    _check_against_truth(a, b, affine)
+    # Ties and integer boundaries, where one-sided answers matter: a against
+    # its own exact value, and a shifted to sit exactly on the integer 1.
+    va = true_value(a)
+    _check_against_truth(a, exact(va), affine)
+    _check_against_truth(add(sub(a, exact(va), affine=affine), exact(1), affine=affine), b, affine)

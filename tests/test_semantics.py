@@ -151,15 +151,6 @@ def test_fuel_exhaustion_reports_loop_location():
     assert res.status.location == "4:1"
 
 
-def test_eval_stages_parallel_equals_sequential():
-    program = parse(corpus_source("ball.whdt"))
-    seq1 = eval_stages(program, [], SMALL_SCHEDULE, energy_var="energy")
-    seq2 = eval_stages(program, [], SMALL_SCHEDULE, energy_var="energy", parallel=True)
-    assert seq1.outputs == seq2.outputs
-    assert [l.total for l in seq1.ledgers] == [l.total for l in seq2.ledgers]
-    assert seq1.energy_values == seq2.energy_values
-
-
 def test_eval_stages_validates_schedule():
     program = parse("input; output y; y := 1")
     with pytest.raises(ValueError):
