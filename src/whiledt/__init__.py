@@ -33,7 +33,6 @@ from .exactnum import (
     ExactReal,
     Interval,
     OracleReal,
-    Rat,
     SymExpr,
     compare,
     digit_extract,

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import hyperreal, oracles, semantics, syntax
 from .errors import EvalError, InsufficientStages, MacroError, ParseError, WhdtError
-from .exactnum import Rat
 from .report import Report, verdict_descriptor
 from .resources import CostModel, classify_supertask, load_cost_config
 from .semantics import DEFAULT_SCHEDULE, eval_stages
@@ -103,7 +102,7 @@ def build_run_report(
     model = cost_model or CostModel()
     seq = eval_stages(
         program,
-        [Rat(v) for v in inputs],
+        inputs,
         schedule,
         oracles=binding,
         step_fuel=step_fuel,
@@ -137,11 +136,11 @@ def build_run_report(
             energy = []
             for i in halted:
                 v = seq.energy_values[i]
-                if not isinstance(v, Rat):
+                if not isinstance(v, Fraction):
                     raise InsufficientStages(
                         f"energy variable {seq.energy_var!r} is not rational"
                     )
-                energy.append(v.value)
+                energy.append(v)
         supertask = classify_supertask(
             [seq.schedule[i] for i in halted], totals, energy
         )
@@ -184,7 +183,10 @@ def cmd_run(args) -> int:
         inputs = [parse_rational(v) for f in args.input for v in f.split(",")]
         schedule = parse_schedule(args.stages)
         items = load_cost_config(args.cost_config) if args.cost_config else []
-        items += [tuple(kv.split("=", 1)) for kv in args.cost]
+        for kv in args.cost:
+            if "=" not in kv:
+                raise ValueError(f"--cost expects KEY=VAL, got {kv!r}")
+            items.append(tuple(kv.split("=", 1)))
         model = CostModel().with_overrides(items)
         if args.clock_var:
             model = model.with_overrides(

@@ -26,15 +26,13 @@ class DivisionByZero(EvalError):
 class UnresolvedComparison(EvalError):
     """An exact comparison could not be separated within the refinement fuel.
 
-    Carries the fuel limit that was exhausted, and as `witnesses` a 1-tuple
-    of the last enclosure read (None when the fuel ran out before the first).
+    Carries the fuel limit that was exhausted.
     """
 
     kind = "unresolved-comparison"
 
-    def __init__(self, message, fuel=None, witnesses=None):
+    def __init__(self, message, fuel=None):
         self.fuel = fuel
-        self.witnesses = witnesses
         super().__init__(message)
 
 

@@ -1,11 +1,17 @@
 """Exact numerics for stage evaluation.
 
-Values are either exact rationals or symbolic expressions over rationals
-and named ternary digit streams.  Symbolic values are compared and floored
-by interval refinement: every enclosure is a closed rational interval that
+A value is either a rational, held as a plain `fractions.Fraction`, or a
+symbolic expression (`Affine`, `SymExpr`) over rationals and named
+ternary digit streams.  Symbolic values are compared and floored by
+interval refinement: every enclosure is a closed rational interval that
 provably contains the true value, and refinement only ever shrinks it.
 Digit streams use base 3 with digits restricted to {0, 1}, so a stream's
 value lies in [0, 3/2] and partial sums approach it from below.
+
+Rationals are recognised by `type(x) is Fraction`.  Fraction derives from
+numbers.Rational, so isinstance against it goes through ABCMeta, and a
+test that fails, as it does for every symbolic value, costs about ten
+times as much.
 """
 
 from __future__ import annotations
@@ -125,15 +131,13 @@ class Interval:
     def __contains__(self, x):
         return self.lo <= x <= self.hi
 
-    def is_point(self):
-        return self.lo == self.hi
-
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
 
 
 class ExactReal:
-    """Base class; use the module functions or operators to combine values."""
+    """Base class of the symbolic values; use the module functions or
+    operators to combine them with each other and with Fractions."""
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -164,14 +168,6 @@ class ExactReal:
 
 
 @dataclass(frozen=True, slots=True)
-class Rat(ExactReal):
-    value: Fraction
-
-    def __repr__(self):
-        return f"Rat({self.value})"
-
-
-@dataclass(frozen=True, slots=True)
 class Affine(ExactReal):
     """offset + coeff * stream-value, with coeff != 0.
 
@@ -194,19 +190,24 @@ class SymExpr(ExactReal):
     """General binary node; op is one of '+', '-', '*', '/'."""
 
     op: str
-    lhs: ExactReal
-    rhs: ExactReal
+    lhs: Fraction | ExactReal
+    rhs: Fraction | ExactReal
     # For '/': a refinement depth at which the divisor's enclosure is known
     # to exclude zero.  Not part of the value.
     den_prec: int = field(default=0, compare=False)
 
     def __repr__(self):
-        return f"SymExpr({self.lhs!r} {self.op} {self.rhs!r})"
+        return f"SymExpr({value_repr(self.lhs)} {self.op} {value_repr(self.rhs)})"
 
 
-def exact(x) -> Rat:
-    """Wrap an int, Fraction, or exact-decimal/fraction string."""
-    return Rat(Fraction(x))
+def value_repr(x):
+    """repr of a value as reports print it: a rational as `Rat(p/q)`."""
+    return f"Rat({x})" if type(x) is Fraction else repr(x)
+
+
+def exact(x) -> Fraction:
+    """An int, Fraction, or exact-decimal/fraction string as a Fraction."""
+    return Fraction(x)
 
 
 def oracle_const(stream: OracleReal) -> Affine:
@@ -214,7 +215,7 @@ def oracle_const(stream: OracleReal) -> Affine:
 
 
 def _coerce(x):
-    if isinstance(x, ExactReal):
+    if type(x) is Fraction or isinstance(x, ExactReal):
         return x
     if isinstance(x, (int, Fraction, str)):
         return exact(x)
@@ -223,18 +224,18 @@ def _coerce(x):
 
 def _affine(offset, coeff, stream):
     if coeff == 0:
-        return Rat(offset)
+        return offset
     return Affine(offset, coeff, stream)
 
 
 def add(a, b, affine=True):
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        return Rat(a.value + b.value)
+    if type(a) is Fraction and type(b) is Fraction:
+        return a + b
     if affine:
-        if isinstance(a, Rat) and isinstance(b, Affine):
-            return _affine(a.value + b.offset, b.coeff, b.stream)
-        if isinstance(a, Affine) and isinstance(b, Rat):
-            return _affine(a.offset + b.value, a.coeff, a.stream)
+        if type(a) is Fraction and isinstance(b, Affine):
+            return _affine(a + b.offset, b.coeff, b.stream)
+        if isinstance(a, Affine) and type(b) is Fraction:
+            return _affine(a.offset + b, a.coeff, a.stream)
         if (
             isinstance(a, Affine)
             and isinstance(b, Affine)
@@ -245,13 +246,13 @@ def add(a, b, affine=True):
 
 
 def sub(a, b, affine=True):
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        return Rat(a.value - b.value)
+    if type(a) is Fraction and type(b) is Fraction:
+        return a - b
     if affine:
-        if isinstance(a, Rat) and isinstance(b, Affine):
-            return _affine(a.value - b.offset, -b.coeff, b.stream)
-        if isinstance(a, Affine) and isinstance(b, Rat):
-            return _affine(a.offset - b.value, a.coeff, a.stream)
+        if type(a) is Fraction and isinstance(b, Affine):
+            return _affine(a - b.offset, -b.coeff, b.stream)
+        if isinstance(a, Affine) and type(b) is Fraction:
+            return _affine(a.offset - b, a.coeff, a.stream)
         if (
             isinstance(a, Affine)
             and isinstance(b, Affine)
@@ -262,26 +263,26 @@ def sub(a, b, affine=True):
 
 
 def mul(a, b, affine=True):
-    if isinstance(a, Rat) and isinstance(b, Rat):
-        return Rat(a.value * b.value)
+    if type(a) is Fraction and type(b) is Fraction:
+        return a * b
     if affine:
-        if isinstance(a, Rat) and isinstance(b, Affine):
-            if a.value == 0:
-                return Rat(Fraction(0))
-            return _affine(a.value * b.offset, a.value * b.coeff, b.stream)
-        if isinstance(a, Affine) and isinstance(b, Rat):
+        if type(a) is Fraction and isinstance(b, Affine):
+            if a == 0:
+                return Fraction(0)
+            return _affine(a * b.offset, a * b.coeff, b.stream)
+        if isinstance(a, Affine) and type(b) is Fraction:
             return mul(b, a)
-    if isinstance(a, Rat) and a.value == 0 or isinstance(b, Rat) and b.value == 0:
-        return Rat(Fraction(0))
+    if type(a) is Fraction and a == 0 or type(b) is Fraction and b == 0:
+        return Fraction(0)
     return SymExpr("*", a, b)
 
 
 def neg(a):
-    if isinstance(a, Rat):
-        return Rat(-a.value)
+    if type(a) is Fraction:
+        return -a
     if isinstance(a, Affine):
         return Affine(-a.offset, -a.coeff, a.stream)
-    return sub(Rat(Fraction(0)), a)
+    return sub(Fraction(0), a)
 
 
 def div(a, b, affine=True, fuel_limit=DEFAULT_FUEL, recorder=None):
@@ -291,13 +292,13 @@ def div(a, b, affine=True, fuel_limit=DEFAULT_FUEL, recorder=None):
     until its enclosure excludes zero; if the budget runs out first the
     division is rejected with UnresolvedComparison.
     """
-    if isinstance(b, Rat):
-        if b.value == 0:
+    if type(b) is Fraction:
+        if b == 0:
             raise DivisionByZero("division by zero")
-        if isinstance(a, Rat):
-            return Rat(a.value / b.value)
+        if type(a) is Fraction:
+            return a / b
         if affine and isinstance(a, Affine):
-            return _affine(a.offset / b.value, a.coeff / b.value, a.stream)
+            return _affine(a.offset / b, a.coeff / b, a.stream)
         return SymExpr("/", a, b)
     prec = _decide(
         _depth_enclosures(b, Fuel(fuel_limit), recorder),
@@ -328,7 +329,6 @@ def _decide(enclosures, verdict, refusal, fuel_limit):
         raise UnresolvedComparison(
             refusal.format(fuel=fuel_limit, last=last),
             fuel=fuel_limit,
-            witnesses=(last,),
         ) from None
 
 
@@ -376,8 +376,8 @@ def _affine_enclosure(x, m, fuel, recorder):
 
 def _enclose(x, j, fuel=None, recorder=None) -> Interval:
     """Raw enclosure at refinement depth j (nested, shrinking in j)."""
-    if isinstance(x, Rat):
-        return Interval(x.value, x.value)
+    if type(x) is Fraction:
+        return Interval(x, x)
     if isinstance(x, Affine):
         return _affine_enclosure(x, j + 1, fuel, recorder)
     if isinstance(x, SymExpr):
@@ -413,8 +413,8 @@ def refine(x, k, fuel=None, recorder=None) -> Interval:
     if k < 0:
         raise ValueError("precision must be >= 0")
     x = _coerce(x)
-    if isinstance(x, Rat):
-        return Interval(x.value, x.value)
+    if type(x) is Fraction:
+        return Interval(x, x)
     target = Fraction(1, 3**k)
     if isinstance(x, Affine):
         # Smallest m with |coeff| * tail_bound(m) <= 3**-k, found exactly.
@@ -446,8 +446,8 @@ def compare(a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     if a == b:
         return EQ
     d = sub(a, b)
-    if isinstance(d, Rat):
-        return LT if d.value < 0 else GT if d.value > 0 else EQ
+    if type(d) is Fraction:
+        return LT if d < 0 else GT if d > 0 else EQ
     return _decide(
         _enclosures(d, Fuel(fuel_limit), recorder),
         _sign,
@@ -490,8 +490,8 @@ def cmp_holds(op, a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     if a == b:
         return op in ("<=", ">=", "=")
     d = sub(a, b)
-    if isinstance(d, Rat):
-        return RAT_CMP[op](d.value, 0)
+    if type(d) is Fraction:
+        return RAT_CMP[op](d, 0)
     holds = _ENCLOSURE_CMP[op]
     return _decide(
         _enclosures(d, Fuel(fuel_limit), recorder),
@@ -506,11 +506,11 @@ def _common_floor(_, iv):
     return lo if lo == math.floor(iv.hi) else None
 
 
-def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Rat:
+def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Fraction:
     """Exact floor; raises UnresolvedComparison at unseparable boundaries."""
     x = _coerce(x)
-    if isinstance(x, Rat):
-        return Rat(Fraction(math.floor(x.value)))
+    if type(x) is Fraction:
+        return Fraction(math.floor(x))
     fl = _decide(
         _enclosures(x, Fuel(fuel_limit), recorder),
         _common_floor,
@@ -518,7 +518,7 @@ def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Rat:
         " last enclosure {last}",
         fuel_limit,
     )
-    return Rat(Fraction(fl))
+    return Fraction(fl)
 
 
 def digit_extract(x, k, recorder=None):

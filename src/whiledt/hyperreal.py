@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import trend
 from .errors import InsufficientStages
-from .exactnum import Rat
 
 MIN_STAGES = 8
 UNBOUNDED_ABS_THRESHOLD = Fraction(10**6)
@@ -24,7 +23,7 @@ MAX_PERIOD = 8
 
 @dataclass(frozen=True)
 class EventuallyConstant:
-    value: object  # ExactReal
+    value: object  # Fraction | Affine | SymExpr
     stabilization_stage: int
     heuristic: bool = False
 
@@ -81,12 +80,11 @@ def classify_value(seq, var):
     verdict = _periodic(ns, vs)
     if verdict is not None:
         return verdict
-    rats = [v.value for v in vs] if all(isinstance(v, Rat) for v in vs) else None
-    if rats is not None:
-        verdict = _unbounded(ns, rats)
+    if all(isinstance(v, Fraction) for v in vs):
+        verdict = _unbounded(ns, vs)
         if verdict is not None:
             return verdict
-        verdict = _convergent(ns, rats)
+        verdict = _convergent(ns, vs)
         if verdict is not None:
             return verdict
     return Irregular()
@@ -184,8 +182,8 @@ def _convergent(ns, vs):
 def standard_part(cls):
     """Shadow of the classified value: a rational, or a reasoned refusal."""
     if isinstance(cls, EventuallyConstant):
-        if isinstance(cls.value, Rat):
-            return cls.value.value
+        if isinstance(cls.value, Fraction):
+            return cls.value
         return NoStandardPart("symbolic value")
     if isinstance(cls, ConvergentNonconstant):
         return cls.limit_estimate

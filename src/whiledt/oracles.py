@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import BitfileRange, BoundExceeded
 from .exactnum import OracleReal
@@ -145,10 +146,7 @@ def macro_callable(defs, name, step_fuel=10**6):
     The subprogram must be dt-free; it is evaluated at a fixed internal
     stage, memoized per argument.
     """
-    from fractions import Fraction
-
     from .errors import EvalError, UnknownMacro
-    from .exactnum import Rat
 
     if name not in defs:
         raise UnknownMacro(f"unknown macro {name!r}")
@@ -164,15 +162,15 @@ def macro_callable(defs, name, step_fuel=10**6):
 
     def fn(x):
         if x not in cache:
-            res = eval_stage(program, [Rat(Fraction(x))], ctx)
+            res = eval_stage(program, [x], ctx)
             if not res.status.ok:
                 raise EvalError(
                     f"macro {name!r} failed on input {x}: {res.status.kind}"
                 )
             out = res.store[program.outputs[0]]
-            if not isinstance(out, Rat) or out.value.denominator != 1:
+            if not isinstance(out, Fraction) or out.denominator != 1:
                 raise EvalError(f"macro {name!r} returned a non-natural on {x}")
-            cache[x] = int(out.value)
+            cache[x] = int(out)
         return cache[x]
 
     return fn
@@ -194,10 +192,7 @@ def run_limit(spec: LimitSpec, x, schedule, oracles=None, **kw):
     classifier recovers the limit whenever F(., x) stabilizes inside the
     schedule.
     """
-    from fractions import Fraction
-
     from . import syntax
-    from .exactnum import Rat
     from .semantics import eval_stages, expand_macros
 
     if spec.name not in spec.defs:
@@ -213,4 +208,4 @@ def run_limit(spec: LimitSpec, x, schedule, oracles=None, **kw):
         oracles=frozenset(),
     )
     program = expand_macros(spec.defs, main)
-    return eval_stages(program, [Rat(Fraction(x))], schedule, oracles=oracles, **kw)
+    return eval_stages(program, [x], schedule, oracles=oracles, **kw)

@@ -12,7 +12,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import hyperreal
-from .exactnum import Rat
 from .hyperreal import (
     ConvergentNonconstant,
     EventuallyConstant,
@@ -34,8 +33,6 @@ def fmt_rational(q):
 def fmt_value(v):
     if v is None:
         return None
-    if isinstance(v, Rat):
-        return fmt_rational(v.value)
     if isinstance(v, Fraction):
         return fmt_rational(v)
     return f"symbolic:{v!r}"

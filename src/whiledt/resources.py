@@ -205,7 +205,7 @@ def bounce_count(seq, var="bounces") -> BounceSummary:
     """Per-stage bounce totals of a ball run, with their cross-stage trend."""
     pairs = seq.halted_pairs(var)
     ns = [n for n, _ in pairs]
-    counts = [int(v.value) for _, v in pairs]
+    counts = [int(v) for _, v in pairs]
     nondecr = all(b >= a for a, b in zip(counts, counts[1:]))
     return BounceSummary(
         counts=tuple(counts),

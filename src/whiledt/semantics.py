@@ -20,7 +20,7 @@ from .errors import (
     UnboundVariable,
     UnknownOracle,
 )
-from .exactnum import QueryRecorder, Rat
+from .exactnum import QueryRecorder, value_repr
 from .oracles import cantor_pair
 from .resources import CostModel, Meter, ResourceLedger
 from .syntax import expand_macros  # re-exported; expansion is purely syntactic
@@ -88,7 +88,7 @@ class StageSequence:
     """Per-variable value vectors across the evaluated stages."""
 
     schedule: list
-    outputs: dict  # var -> list of ExactReal | None (None when not halted)
+    outputs: dict  # var -> list of Fraction | Affine | SymExpr, or None when not halted
     statuses: list
     ledgers: list
     loop_iterations: list = field(default_factory=list)
@@ -123,9 +123,7 @@ class _Run:
         self.loop_iterations = {}
         self.while_stack = []
         self._consts = {}
-        self.dt_value = Rat(ctx.dt)
-        self.infinity_value = Rat(Fraction(ctx.infinity))
-        self._literals = {}
+        self.infinity_value = Fraction(ctx.infinity)
         missing = sorted(program.oracles - set(self.oracles))
         if missing:
             raise UnknownOracle(
@@ -283,17 +281,14 @@ def _exec(cmd, store, run):
 
 def _aeval(expr, store, run):
     if isinstance(expr, syntax.RationalLiteral):
-        cached = run._literals.get(id(expr))
-        if cached is None:
-            cached = run._literals[id(expr)] = Rat(expr.value)
-        return cached
+        return expr.value
     if isinstance(expr, syntax.Var):
         try:
             return store[expr.name]
         except KeyError:
             raise UnboundVariable(f"variable {expr.name!r} read before assignment")
     if isinstance(expr, syntax.Dt):
-        return run.dt_value
+        return run.ctx.dt
     if isinstance(expr, syntax.Infinity):
         return run.infinity_value
     if isinstance(expr, syntax.OracleRealConst):
@@ -303,13 +298,6 @@ def _aeval(expr, store, run):
     if isinstance(expr, syntax.BinOp):
         lhs = _aeval(expr.lhs, store, run)
         rhs = _aeval(expr.rhs, store, run)
-        if type(lhs) is Rat and type(rhs) is Rat and expr.op != "/":
-            # pure-rational hot path; identical results to the general one
-            if expr.op == "+":
-                return Rat(lhs.value + rhs.value)
-            if expr.op == "-":
-                return Rat(lhs.value - rhs.value)
-            return Rat(lhs.value * rhs.value)
         affine = run.ctx.use_fast_path
         if expr.op == "+":
             return exactnum.add(lhs, rhs, affine=affine)
@@ -340,7 +328,7 @@ def _aeval(expr, store, run):
     if isinstance(expr, syntax.Pair):
         x = _nat(_aeval(expr.first, store, run), "first pairing argument")
         y = _nat(_aeval(expr.second, store, run), "second pairing argument")
-        return Rat(Fraction(cantor_pair(x, y)))
+        return Fraction(cantor_pair(x, y))
     if isinstance(expr, syntax.Call):
         raise EvalError(
             f"macro call {expr.name!r} survived to evaluation; expand macros first"
@@ -349,14 +337,16 @@ def _aeval(expr, store, run):
 
 
 def _nat(value, what):
-    if not isinstance(value, Rat) or value.value.denominator != 1 or value.value < 0:
-        raise NotHypernatural(f"{what} must be a hypernatural, got {value!r}")
-    return int(value.value)
+    if not isinstance(value, Fraction) or value.denominator != 1 or value < 0:
+        raise NotHypernatural(
+            f"{what} must be a hypernatural, got {value_repr(value)}"
+        )
+    return int(value)
 
 
 def _cmp(op, lhs, rhs, run):
-    if type(lhs) is Rat and type(rhs) is Rat:
-        return exactnum.RAT_CMP[op](lhs.value, rhs.value)
+    if type(lhs) is Fraction and type(rhs) is Fraction:
+        return exactnum.RAT_CMP[op](lhs, rhs)
     before = run.recorder.count
     result = exactnum.cmp_holds(
         op, lhs, rhs, fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder

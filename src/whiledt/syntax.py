@@ -952,7 +952,13 @@ def _pp_cmd(cmd, indent, lines):
 
 
 def pretty_print(program) -> str:
-    """Canonical concrete syntax; parsing it back gives an equal Program."""
+    """Canonical concrete syntax.
+
+    For a main program as parse_module returns it, parsing the output back
+    gives an equal Program.  After expand_macros it may not: expansion
+    splices each call in as a left-nested Seq, and the parser builds
+    right-nested ones.
+    """
     lines = []
     lines.append("input" + (" " + ", ".join(program.inputs) if program.inputs else "") + ";")
     lines.append("output" + (" " + ", ".join(program.outputs) if program.outputs else "") + ";")

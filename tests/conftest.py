@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from whiledt.exactnum import Affine, OracleReal, Rat, SymExpr
+from whiledt.exactnum import Affine, OracleReal, SymExpr
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "whiledt" / "corpus"
 
@@ -38,8 +38,8 @@ def true_value(x, prefix_len=64):
     Only valid when every stream involved has all-zero digits beyond
     prefix_len; used as the ground-truth oracle for enclosure soundness.
     """
-    if isinstance(x, Rat):
-        return x.value
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, Affine):
         s = sum(
             (Fraction(x.stream.digit(i), 3**i) for i in range(prefix_len)),

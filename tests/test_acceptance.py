@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from conftest import CORPUS, corpus_source, finite_stream, stream_value, true_value
 from whiledt import cli
-from whiledt.exactnum import Rat, add, exact, mul, oracle_const, refine, sub
+from whiledt.exactnum import add, exact, mul, oracle_const, refine, sub
 from whiledt.hyperreal import (
     EventuallyConstant,
     PeriodicPattern,
@@ -50,10 +50,10 @@ def test_criterion_1_floor_program():
     checked = 0
     for x in cases:
         expected = x.numerator // x.denominator
-        seq = eval_stages(program, [Rat(x)], schedule)
+        seq = eval_stages(program, [x], schedule)
         for st, v in zip(seq.statuses, seq.outputs["y"]):
             assert st.ok
-            assert v == Rat(Fraction(expected)), x
+            assert v == Fraction(expected), x
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"floor suite took {elapsed:.2f}s"
@@ -76,10 +76,10 @@ def test_criterion_2_decision_program():
     checked = 0
     for name, member in members.items():
         for x in range(65):
-            expected = Rat(Fraction(1 if member(x) else 0))
+            expected = Fraction(1 if member(x) else 0)
             fast = eval_stage(
                 program,
-                [Rat(Fraction(x))],
+                [Fraction(x)],
                 StageContext.for_stage(2),
                 {"A": builtin_set(name)},
             )
@@ -88,7 +88,7 @@ def test_criterion_2_decision_program():
             assert fast.ledger.oracle_queries == x + 1
             interval = eval_stage(
                 program,
-                [Rat(Fraction(x))],
+                [Fraction(x)],
                 StageContext.for_stage(2, use_fast_path=False),
                 {"A": builtin_set(name)},
             )
@@ -105,9 +105,9 @@ def test_criterion_3_function_program():
     program = parse(corpus_source("compute.whdt"))
     binding = {"A": graph_oracle(lambda x: x * x, 25)}
     for x in range(21):
-        res = eval_stage(program, [Rat(Fraction(x))], StageContext.for_stage(1), binding)
+        res = eval_stage(program, [Fraction(x)], StageContext.for_stage(1), binding)
         assert res.status.ok
-        assert res.store["y"] == Rat(Fraction(x * x)), x
+        assert res.store["y"] == Fraction(x * x), x
     _ok(3, "compute.whdt returns x**2 exactly for all x <= 20")
 
 
@@ -118,7 +118,7 @@ def test_criterion_4_limit_lemma_harness():
         seq = run_limit(spec, x, FULL)
         cls = classify_value(seq, "y")
         assert isinstance(cls, EventuallyConstant), x
-        assert cls.value == Rat(Fraction(x))
+        assert cls.value == Fraction(x)
         assert cls.stabilization_stage == max(x - 1, 0), x
     _ok(4, "run_limit is eventually constant x with stabilization stage x-1"
            " for x <= 10")
@@ -130,7 +130,7 @@ def test_criterion_5_infinity_elimination():
     seq = eval_stages(program, [], schedule)
     for n, v, st in zip(schedule, seq.outputs["u"], seq.statuses):
         assert st.ok
-        assert v == Rat(Fraction(n + 1)), n
+        assert v == Fraction(n + 1), n
     cls = classify_value(seq, "u")
     assert isinstance(cls, Unbounded) and cls.direction == "+"
     # the two formulations of F(infinity, x): constant vs eliminated loop
@@ -145,7 +145,7 @@ def test_criterion_5_infinity_elimination():
         "while t < 1 do { t := t + dt; u := u + 1 };\n"
         "y := F(u, x)"
     )
-    x = Rat(Fraction(9))
+    x = Fraction(9)
     a = eval_stages(direct, [x], schedule)
     b = eval_stages(eliminated, [x], schedule)
     assert a.outputs["y"] == b.outputs["y"]
@@ -159,11 +159,11 @@ def test_criterion_6_thomson_lamp():
     seq = eval_stages(program, [], schedule)
     for n, v, st in zip(schedule, seq.outputs["lamp"], seq.statuses):
         assert st.ok
-        assert v == Rat(Fraction((n + 1) % 2)), n
+        assert v == Fraction((n + 1) % 2), n
     cls = classify_value(seq, "lamp")
     assert isinstance(cls, PeriodicPattern) and cls.period == 2
     candidates = ultrafilter_report(cls)
-    assert candidates == [(0, Rat(Fraction(1))), (1, Rat(Fraction(0)))]
+    assert candidates == [(0, Fraction(1)), (1, Fraction(0))]
     totals = [l.total for l in seq.ledgers]
     assert all(b > a for a, b in zip(totals, totals[1:]))
     verdicts = classify_supertask(schedule, seq.ledgers)
@@ -188,8 +188,8 @@ def test_criterion_7_bouncing_ball():
     assert by_stage[63] > by_stage[15]
     initial_energy = Fraction(2)
     for v in seq.energy_values:
-        assert v.value <= initial_energy  # exact rational comparison
-    energy = [v.value for v in seq.energy_values]
+        assert v <= initial_energy  # exact rational comparison
+    energy = list(seq.energy_values)
     verdicts = classify_supertask(seq.schedule, seq.ledgers, energy)
     assert verdicts.energy.kind == "good"
     assert verdicts.metered.kind == "bad"

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import CORPUS
 from whiledt.cli import main, parse_rational, parse_schedule
-from whiledt.exactnum import Rat
 from whiledt.report import fmt_rational, fmt_value
 from whiledt.semantics import DEFAULT_SCHEDULE
 
@@ -127,10 +126,11 @@ def test_run_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "run", "/nonexistent/prog.whdt")
     assert code == 2
-    for flag in ("--stages=-1..9", "--cost=assign_cost=1/0"):
+    for flag in ("--stages=-1..9", "--cost=assign_cost=1/0", "--cost=assign_cost"):
         code, out, err = run_cli(capsys, "run", corpus_file("thomson.whdt"), flag)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: --cost expects KEY=VAL, got 'assign_cost'\n"
 
 
 def test_parallel_flag_is_gone(capsys):
@@ -266,8 +266,8 @@ def test_no_fast_path_flag(capsys):
 def test_report_renders_rationals_past_the_int_digit_limit():
     big = 7 * 10**4999 + 3  # 5,000 digits, past str(int)'s default limit
     digits = "7" + "0" * 4998 + "3"
-    assert fmt_value(Rat(Fraction(big, 9))) == f"{digits}/9"
+    assert fmt_value(Fraction(big, 9)) == f"{digits}/9"
     assert fmt_value(Fraction(-big)) == f"-{digits}"
     assert fmt_rational(Fraction(2, big)) == f"2/{digits}"
     for q in (Fraction(0), Fraction(-5), Fraction(37, 10), Fraction(-2, 3), 7):
-        assert fmt_value(Rat(Fraction(q))) == fmt_rational(q) == str(q)
+        assert fmt_value(Fraction(q)) == fmt_rational(q) == str(q)

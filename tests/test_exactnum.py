@@ -16,7 +16,6 @@ from whiledt.exactnum import (
     LT,
     RAT_CMP,
     Fuel,
-    Rat,
     add,
     cmp_holds,
     compare,
@@ -38,7 +37,7 @@ def frac(*args):
 
 
 def test_rational_add():
-    assert add(exact("1/3"), exact("1/6")) == Rat(frac("1/2"))
+    assert add(exact("1/3"), exact("1/6")) == frac("1/2")
 
 
 def test_rational_compare():
@@ -53,10 +52,10 @@ def test_division_by_zero():
 
 
 def test_rational_floor():
-    assert floor_value(exact("37/10")) == Rat(frac(3))
-    assert floor_value(exact("-23/10")) == Rat(frac(-3))
-    assert floor_value(exact(-1)) == Rat(frac(-1))
-    assert floor_value(exact(0)) == Rat(frac(0))
+    assert floor_value(exact("37/10")) == frac(3)
+    assert floor_value(exact("-23/10")) == frac(-3)
+    assert floor_value(exact(-1)) == frac(-1)
+    assert floor_value(exact(0)) == frac(0)
 
 
 def test_refine_rational_is_a_point():
@@ -187,7 +186,7 @@ def test_cmp_holds_structural_equality():
 def test_floor_oracle_first_digit_one():
     # d0 = 1 pins the value into [1, 3/2); floor is 1.
     r = oracle_const(finite_stream("A", [1, 0, 1, 1]))
-    assert floor_value(r) == Rat(frac(1))
+    assert floor_value(r) == frac(1)
 
 
 def test_floor_shifted_oracle_reads_ternary_prefix():
@@ -201,12 +200,12 @@ def test_floor_shifted_oracle_reads_ternary_prefix():
             x = mul(exact(Fraction(3) ** k), r)
             expected = true_value(x).__floor__()
             got = floor_value(x)
-            assert got == Rat(Fraction(expected))
+            assert got == Fraction(expected)
             # matches the ternary-prefix reading
             acc = 0
             for i in range(k + 1):
                 acc = acc * 3 + digits[i]
-            assert got.value == acc
+            assert got == acc
 
 
 def test_no_carry_digit_theorem_exhaustive():
@@ -273,7 +272,7 @@ def test_field_axioms_on_random_rationals():
         assert add(a, exact(0)) == a
         assert mul(a, exact(1)) == a
         assert add(a, sub(exact(0), a)) == exact(0)
-        if b.value != 0:
+        if b != 0:
             assert mul(div(a, b), b) == a
 
 
@@ -299,10 +298,10 @@ def test_compare_strict_order_sample():
             if got == LT:
                 assert compare(b, a) == GT
             elif got == EQ:
-                assert a.value == b.value
+                assert a == b
     # transitivity on a sorted triple sample
     for _ in range(200):
-        a, b, c = sorted(rng.sample(vals, 3), key=lambda r: r.value)
+        a, b, c = sorted(rng.sample(vals, 3))
         if compare(a, b) == LT and compare(b, c) == LT:
             assert compare(a, c) == LT
 
@@ -392,7 +391,7 @@ def _check_against_truth(a, b, affine):
     got = _resolved(lambda: compare(a, b, PROPERTY_FUEL))
     assert got in (None, LT if va < vb else GT if va > vb else EQ)
     got = _resolved(lambda: floor_value(a, PROPERTY_FUEL))
-    assert got in (None, Rat(Fraction(math.floor(va))))
+    assert got in (None, Fraction(math.floor(va)))
     if b == exact(0):
         return
     got = _resolved(lambda: div(a, b, affine, PROPERTY_FUEL))
@@ -413,3 +412,25 @@ def test_refinement_loop_agrees_with_true_values(da, db, ta, tb, affine):
     va = true_value(a)
     _check_against_truth(a, exact(va), affine)
     _check_against_truth(add(sub(a, exact(va), affine=affine), exact(1), affine=affine), b, affine)
+
+
+_fractions = st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fractions, _fractions, st.booleans())
+def test_rationals_are_plain_fractions(a, b, affine):
+    cases = [
+        (add(a, b, affine=affine), a + b),
+        (sub(a, b, affine=affine), a - b),
+        (mul(a, b, affine=affine), a * b),
+        (neg(a), -a),
+        (floor_value(a), Fraction(math.floor(a))),
+    ]
+    if b != 0:
+        cases.append((div(a, b, affine=affine), a / b))
+    for got, expected in cases:
+        assert type(got) is Fraction and got == expected
+    assert compare(a, b) == (LT if a < b else GT if a > b else EQ)
+    for op, holds in RAT_CMP.items():
+        assert cmp_holds(op, a, b) is holds(a, b)

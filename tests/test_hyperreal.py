@@ -6,7 +6,6 @@ import pytest
 
 from conftest import corpus_source
 from whiledt.errors import InsufficientStages
-from whiledt.exactnum import Rat
 from whiledt.hyperreal import (
     ConvergentNonconstant,
     EventuallyConstant,
@@ -28,7 +27,7 @@ def make_seq(schedule, values):
     from whiledt.semantics import HaltStatus
     from whiledt.resources import ResourceLedger
 
-    vals = [Rat(Fraction(v)) for v in values]
+    vals = [Fraction(v) for v in values]
     return StageSequence(
         schedule=list(schedule),
         outputs={"y": vals},
@@ -45,7 +44,7 @@ def test_requires_eight_halted_stages():
 
 def test_constant_sequence():
     cls = classify_value(make_seq(FULL, [3] * len(FULL)), "y")
-    assert cls == EventuallyConstant(value=Rat(Fraction(3)), stabilization_stage=0)
+    assert cls == EventuallyConstant(value=Fraction(3), stabilization_stage=0)
     assert standard_part(cls) == Fraction(3)
     assert cls.heuristic is False
 
@@ -53,7 +52,7 @@ def test_constant_sequence():
 def test_eventually_constant_records_stabilization():
     values = [0, 0, 0, 0] + [5] * (len(FULL) - 4)
     cls = classify_value(make_seq(FULL, values), "y")
-    assert cls == EventuallyConstant(value=Rat(Fraction(5)), stabilization_stage=4)
+    assert cls == EventuallyConstant(value=Fraction(5), stabilization_stage=4)
 
 
 def test_periodic_thomson_shape():
@@ -61,7 +60,7 @@ def test_periodic_thomson_shape():
     cls = classify_value(make_seq(FULL, values), "y")
     assert isinstance(cls, PeriodicPattern)
     assert cls.period == 2
-    assert cls.residues == {0: Rat(Fraction(1)), 1: Rat(Fraction(0))}
+    assert cls.residues == {0: Fraction(1), 1: Fraction(0)}
     assert standard_part(cls) == NoStandardPart("ultrafilter-dependent")
 
 
@@ -91,7 +90,7 @@ while t < 1 do {
     assert isinstance(cls, PeriodicPattern) and cls.period == 3
     cands = ultrafilter_report(cls)
     assert [r for r, _ in cands] == [0, 1, 2]
-    assert sorted(int(v.value) for _, v in cands) == [0, 1, 2]
+    assert sorted(int(v) for _, v in cands) == [0, 1, 2]
 
 
 def test_unbounded_positive():
@@ -141,7 +140,7 @@ def test_classifier_skips_unhalted_stages():
 
     statuses = [HaltStatus("halted")] * len(FULL)
     statuses[3] = HaltStatus("error", error="unresolved-comparison")
-    values = [Rat(Fraction(7))] * len(FULL)
+    values = [Fraction(7)] * len(FULL)
     values[3] = None
     seq = StageSequence(
         schedule=FULL,
@@ -164,10 +163,10 @@ def test_thomson_verdict_on_various_schedules():
 
 def test_eventually_constant_survives_extra_stages():
     program = parse(corpus_source("limit.whdt"))
-    seq = eval_stages(program, [Rat(Fraction(5))], FULL)
+    seq = eval_stages(program, [Fraction(5)], FULL)
     cls = classify_value(seq, "y")
-    assert cls == EventuallyConstant(value=Rat(Fraction(5)), stabilization_stage=4)
-    extended = eval_stages(program, [Rat(Fraction(5))], FULL + [128, 129, 130])
+    assert cls == EventuallyConstant(value=Fraction(5), stabilization_stage=4)
+    extended = eval_stages(program, [Fraction(5)], FULL + [128, 129, 130])
     cls2 = classify_value(extended, "y")
     assert isinstance(cls2, EventuallyConstant)
     assert cls2.value == cls.value
@@ -184,7 +183,7 @@ def test_dt_free_corpus_programs_stabilize_at_stage_zero():
     ]
     for name, inputs, binding in cases:
         program = parse(corpus_source(name))
-        seq = eval_stages(program, [Rat(v) for v in inputs], FULL, oracles=binding)
+        seq = eval_stages(program, list(inputs), FULL, oracles=binding)
         cls = classify_value(seq, "y")
         assert isinstance(cls, EventuallyConstant)
         assert cls.stabilization_stage == 0
@@ -192,4 +191,4 @@ def test_dt_free_corpus_programs_stabilize_at_stage_zero():
 
 def test_ultrafilter_report_requires_periodic():
     with pytest.raises(TypeError):
-        ultrafilter_report(EventuallyConstant(Rat(Fraction(1)), 0))
+        ultrafilter_report(EventuallyConstant(Fraction(1), 0))

@@ -136,7 +136,7 @@ def _limit_defs():
 def test_run_limit_stabilizes_at_witness():
     spec = LimitSpec("F", _limit_defs())
     seq = run_limit(spec, 5, SCHEDULE)
-    values = [int(v.value) for v in seq.outputs["y"]]
+    values = [int(v) for v in seq.outputs["y"]]
     assert values[:4] == [0, 0, 0, 0]
     assert all(v == 5 for v in values[4:])
     cls = classify_value(seq, "y")
@@ -149,13 +149,13 @@ def test_run_limit_stage_independent_function():
     cls = classify_value(seq, "y")
     assert isinstance(cls, EventuallyConstant)
     assert cls.stabilization_stage == 0
-    assert int(cls.value.value) == 9
+    assert int(cls.value) == 9
 
 
 def test_run_limit_divergent_approximation():
     spec = LimitSpec("STAGE", _limit_defs())
     seq = run_limit(spec, 0, SCHEDULE)
-    values = [int(v.value) for v in seq.outputs["y"]]
+    values = [int(v) for v in seq.outputs["y"]]
     assert values == [n + 1 for n in SCHEDULE]
     assert isinstance(classify_value(seq, "y"), Unbounded)
 

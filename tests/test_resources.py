@@ -6,7 +6,6 @@ import pytest
 
 from conftest import corpus_source
 from whiledt.errors import InsufficientStages
-from whiledt.exactnum import Rat
 from whiledt.oracles import builtin_set
 from whiledt.resources import (
     CostModel,
@@ -83,10 +82,10 @@ def test_metering_neutrality():
     free = CostModel(
         assign_cost=Fraction(0), guard_cost=Fraction(0), oracle_cost=Fraction(0)
     )
-    a = eval_stage(program, [Rat(Fraction(9))], StageContext.for_stage(2), binding)
+    a = eval_stage(program, [Fraction(9)], StageContext.for_stage(2), binding)
     b = eval_stage(
         program,
-        [Rat(Fraction(9))],
+        [Fraction(9)],
         StageContext.for_stage(2, cost_model=free),
         binding,
     )
@@ -98,7 +97,7 @@ def test_metering_neutrality():
 def test_peak_store_size():
     res = eval_stage(
         parse("input a; output d; b := a; c := b; d := c"),
-        [Rat(Fraction(1))],
+        [Fraction(1)],
         StageContext.for_stage(0),
     )
     assert res.ledger.peak_store == 4
@@ -156,7 +155,7 @@ def test_thomson_is_a_bad_supertask():
 def test_ball_energy_view_is_good_and_metered_view_bad():
     program = parse(corpus_source("ball.whdt"))
     seq = eval_stages(program, [], FULL, energy_var="energy")
-    energy = [v.value for v in seq.energy_values]
+    energy = list(seq.energy_values)
     verdicts = classify_supertask(seq.schedule, seq.ledgers, energy)
     assert verdicts.metered.kind == "bad"
     assert verdicts.energy.kind == "good"
@@ -167,7 +166,7 @@ def test_ball_energy_never_exceeds_initial():
     seq = eval_stages(program, [], FULL, energy_var="energy")
     initial = Fraction(2)
     for v in seq.energy_values:
-        assert v.value <= initial
+        assert v <= initial
 
 
 def test_bounce_counts_nondecreasing_with_refinement():
@@ -187,7 +186,7 @@ def test_ball_horizon_before_first_impact():
     # overshoots the ground
     src = corpus_source("ball.whdt").replace("time < 4", "time < 1/2")
     seq = eval_stages(parse(src), [], FULL[1:])
-    assert all(int(v.value) == 0 for v in seq.outputs["bounces"])
+    assert all(int(v) == 0 for v in seq.outputs["bounces"])
 
 
 def test_ball_zero_restitution_sticks():
@@ -195,5 +194,5 @@ def test_ball_zero_restitution_sticks():
     # never counted again: exactly one bounce at every stage
     src = corpus_source("ball.whdt").replace("(-1/2) * speed", "0 * speed")
     seq = eval_stages(parse(src), [], FULL)
-    counts = [int(v.value) for v in seq.outputs["bounces"]]
+    counts = [int(v) for v in seq.outputs["bounces"]]
     assert counts == [1] * len(FULL)

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import corpus_source
-from whiledt.exactnum import Rat
 from whiledt.oracles import builtin_set, cantor_pair, graph_oracle
 from whiledt.semantics import (
     StageContext,
@@ -21,7 +20,16 @@ SMALL_SCHEDULE = list(range(8))
 
 def run_once(src, inputs, n=0, oracles=None, **ctx_kw):
     ctx = StageContext.for_stage(n, **ctx_kw)
-    return eval_stage(parse(src), [Rat(Fraction(v)) for v in inputs], ctx, oracles)
+    return eval_stage(parse(src), [Fraction(v) for v in inputs], ctx, oracles)
+
+
+def test_store_holds_only_fractions_on_rational_programs():
+    program = parse(corpus_source("floor.whdt"))
+    for x in (Fraction(37, 10), Fraction(-23, 10), Fraction(0)):
+        for n in (0, 3):
+            res = eval_stage(program, [x], StageContext.for_stage(n))
+            assert res.status.ok
+            assert res.store and all(type(v) is Fraction for v in res.store.values())
 
 
 def test_stage_context_schedule():
@@ -44,9 +52,9 @@ def test_floor_program_matches_integer_division():
     for x in cases:
         expected = x.numerator // x.denominator  # independent oracle
         for n in (0, 3, 7):
-            res = eval_stage(program, [Rat(x)], StageContext.for_stage(n))
+            res = eval_stage(program, [x], StageContext.for_stage(n))
             assert res.status.ok
-            assert res.store["y"] == Rat(Fraction(expected)), x
+            assert res.store["y"] == Fraction(expected), x
 
 
 def test_decide_program_matches_membership():
@@ -65,7 +73,7 @@ def test_decide_program_matches_membership():
         for x in range(0, 65, 7):
             res = run_once(corpus_source("decide.whdt"), [x], n=2, oracles=binding)
             assert res.status.ok
-            assert res.store["y"] == Rat(Fraction(1 if member(x) else 0)), (name, x)
+            assert res.store["y"] == Fraction(1 if member(x) else 0), (name, x)
 
 
 def test_decide_program_oracle_query_count():
@@ -73,7 +81,7 @@ def test_decide_program_oracle_query_count():
     for x in (0, 1, 7, 33):
         res = eval_stage(
             program,
-            [Rat(Fraction(x))],
+            [Fraction(x)],
             StageContext.for_stage(4),
             {"A": builtin_set("primes")},
         )
@@ -86,10 +94,10 @@ def test_compute_program_matches_direct_evaluation():
         binding = {"A": graph_oracle(fn, 25)}
         for x in range(0, 21, 4):
             res = eval_stage(
-                program, [Rat(Fraction(x))], StageContext.for_stage(1), binding
+                program, [Fraction(x)], StageContext.for_stage(1), binding
             )
             assert res.status.ok
-            assert res.store["y"] == Rat(Fraction(fn(x)))
+            assert res.store["y"] == Fraction(fn(x))
 
 
 def test_thomson_closed_form():
@@ -97,7 +105,7 @@ def test_thomson_closed_form():
     for n in SMALL_SCHEDULE + [31, 127]:
         res = eval_stage(program, [], StageContext.for_stage(n))
         assert res.status.ok
-        assert res.store["lamp"] == Rat(Fraction((n + 1) % 2))
+        assert res.store["lamp"] == Fraction((n + 1) % 2)
         (iters,) = res.loop_iterations.values()
         assert iters == n + 1
 
@@ -107,7 +115,7 @@ def test_infinity_elimination_loop_count_law():
     for n in SMALL_SCHEDULE + [63]:
         ctx = StageContext.for_stage(n)
         res = eval_stage(program, [], ctx)
-        assert res.store["u"] == Rat(Fraction(n + 1))
+        assert res.store["u"] == Fraction(n + 1)
         (iters,) = res.loop_iterations.values()
         assert iters == n + 1 == ctx.infinity
 
@@ -115,7 +123,7 @@ def test_infinity_elimination_loop_count_law():
 def test_dt_free_programs_are_stage_independent():
     program = parse(corpus_source("floor.whdt"))
     results = [
-        eval_stage(program, [Rat(Fraction(37, 10))], StageContext.for_stage(n))
+        eval_stage(program, [Fraction(37, 10)], StageContext.for_stage(n))
         for n in range(6)
     ]
     stores = [r.store for r in results]
@@ -138,7 +146,7 @@ def test_eval_stages_orders_and_isolates_errors():
     # never hits 0, so every stage exhausts its fuel without aborting others
     src = "input x; output y; while x != 0 do x := x - 1; y := 0"
     program = parse(src)
-    seq = eval_stages(program, [Rat(Fraction(1, 2))], SMALL_SCHEDULE, step_fuel=500)
+    seq = eval_stages(program, [Fraction(1, 2)], SMALL_SCHEDULE, step_fuel=500)
     assert [st.kind for st in seq.statuses] == ["fuel-exhausted"] * 8
     assert seq.outputs["y"] == [None] * 8
 
@@ -163,33 +171,33 @@ def test_eval_stages_validates_schedule():
 
 def test_empty_body_program_keeps_inputs():
     program = parse("input x; output x_out; x_out := x; skip")
-    seq = eval_stages(program, [Rat(Fraction(9, 7))], SMALL_SCHEDULE)
-    assert all(v == Rat(Fraction(9, 7)) for v in seq.outputs["x_out"])
+    seq = eval_stages(program, [Fraction(9, 7)], SMALL_SCHEDULE)
+    assert all(v == Fraction(9, 7) for v in seq.outputs["x_out"])
 
 
 def test_missing_oracle_binding_is_an_error():
     program = parse("input x; output y; a := real3(A); y := 0")
-    res = eval_stage(program, [Rat(Fraction(0))], StageContext.for_stage(0))
+    res = eval_stage(program, [Fraction(0)], StageContext.for_stage(0))
     assert res.status.kind == "error"
     assert res.status.error == "unknown-oracle"
 
 
 def test_pair_requires_hypernaturals():
     program = parse("input x; output y; y := J(x, 2)")
-    res = eval_stage(program, [Rat(Fraction(1, 2))], StageContext.for_stage(0))
+    res = eval_stage(program, [Fraction(1, 2)], StageContext.for_stage(0))
     assert res.status.kind == "error"
     assert res.status.error == "not-hypernatural"
 
 
 def test_pair_uses_cantor_encoding():
     program = parse("input x; output y; y := J(x, x + 1)")
-    res = eval_stage(program, [Rat(Fraction(4))], StageContext.for_stage(0))
-    assert res.store["y"] == Rat(Fraction(cantor_pair(4, 5)))
+    res = eval_stage(program, [Fraction(4)], StageContext.for_stage(0))
+    assert res.store["y"] == Fraction(cantor_pair(4, 5))
 
 
 def test_division_by_zero_surfaces_as_error_status():
     program = parse("input x; output y; y := x / (x - x)")
-    res = eval_stage(program, [Rat(Fraction(3))], StageContext.for_stage(0))
+    res = eval_stage(program, [Fraction(3)], StageContext.for_stage(0))
     assert res.status.kind == "error"
     assert res.status.error == "division-by-zero"
 
@@ -212,7 +220,7 @@ if 2 <= a < 3 then y := 1
     assert res.status.ok
     # 2 <= a is refuted by the tail bound alone (value <= 3/2), short-
     # circuiting before the right conjunct contributes any queries
-    assert res.store["y"] == Rat(Fraction(0))
+    assert res.store["y"] == Fraction(0)
     assert res.ledger.oracle_queries == 0
 
 
@@ -247,6 +255,6 @@ y := u - x
 """
     )
     for n in SMALL_SCHEDULE + [31, 63]:
-        a = eval_stage(direct, [Rat(Fraction(2))], StageContext.for_stage(n))
-        b = eval_stage(eliminated, [Rat(Fraction(2))], StageContext.for_stage(n))
-        assert a.store["y"] == b.store["y"] == Rat(Fraction(n - 1))
+        a = eval_stage(direct, [Fraction(2)], StageContext.for_stage(n))
+        b = eval_stage(eliminated, [Fraction(2)], StageContext.for_stage(n))
+        assert a.store["y"] == b.store["y"] == Fraction(n - 1)
