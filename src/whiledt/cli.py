@@ -3,7 +3,8 @@
     whiledt run PROGRAM [options]     run a program over a stage schedule
     whiledt corpus [options]          verify the bundled program corpus
 
-Exit codes: 0 success, 1 runtime or classification failure, 2 usage.
+Exit codes: 0 success, 1 runtime or classification failure, 2 usage (a
+program nested deeper than the parser's limit is one).
 All numeric flag values are exact rationals (`3.7`, `-2/3`).
 """
 
@@ -16,7 +17,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import hyperreal, oracles, semantics, syntax
-from .errors import EvalError, InsufficientStages, MacroError, ParseError, WhdtError
+from .errors import (
+    EvalError,
+    InsufficientStages,
+    MacroError,
+    NestingTooDeep,
+    ParseError,
+    WhdtError,
+)
 from .report import Report, verdict_descriptor
 from .resources import CostModel, classify_supertask, load_cost_config
 from .semantics import DEFAULT_SCHEDULE, eval_stages
@@ -171,7 +179,7 @@ def cmd_run(args) -> int:
         program = syntax.expand_macros(defs, main)
     except (ParseError, MacroError) as e:
         print(f"error: {path}: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, NestingTooDeep) else 1
     diags = syntax.check(program)
     if diags:
         for d in diags:
@@ -202,7 +210,7 @@ def cmd_run(args) -> int:
             oname, src = spec.split("=", 1)
             binding[oname.strip()] = resolve_oracle(oname.strip(), src.strip(), defs)
             descr[oname.strip()] = src.strip()
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, MacroError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if len(inputs) != len(program.inputs):

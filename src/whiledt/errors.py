@@ -13,6 +13,10 @@ class ParseError(WhdtError):
         super().__init__(f"{line}:{col}: {message}")
 
 
+class NestingTooDeep(ParseError):
+    """The program nests deeper than the parser's fixed limit."""
+
+
 class EvalError(WhdtError):
     """Base class for runtime errors during stage evaluation."""
 

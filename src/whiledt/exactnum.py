@@ -443,7 +443,9 @@ def compare(a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     forever and surface as UnresolvedComparison.
     """
     a, b = _coerce(a), _coerce(b)
-    if a == b:
+    # values of different types are never equal, and Fraction.__eq__ takes
+    # a slow path through the numbers ABCs to say so
+    if type(a) is type(b) and a == b:
         return EQ
     d = sub(a, b)
     if type(d) is Fraction:
@@ -487,7 +489,7 @@ def cmp_holds(op, a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     if op not in RAT_CMP:
         raise ValueError(f"unknown comparison operator {op!r}")
     a, b = _coerce(a), _coerce(b)
-    if a == b:
+    if type(a) is type(b) and a == b:
         return op in ("<=", ">=", "=")
     d = sub(a, b)
     if type(d) is Fraction:

@@ -38,6 +38,11 @@ __all__ = [
 
 DEFAULT_STEP_FUEL = 10**7
 
+# The nodes that read the stage or an oracle.  An oracle's membership test
+# is an arbitrary callable, so a program that reads one (through these
+# nodes or a symbolic input) runs at every stage.
+_STAGE_DEPENDENT = (syntax.Dt, syntax.Infinity, syntax.OracleRealConst, syntax.MemberOf)
+
 # 0..15 for the dense prefix, then a doubling tail for trend detection.
 DEFAULT_SCHEDULE = tuple(range(16)) + (31, 63, 127)
 
@@ -194,7 +199,11 @@ def eval_stages(
     energy_var=None,
 ) -> StageSequence:
     """Run every stage of the schedule; per-stage errors are recorded in
-    place and do not abort the other stages."""
+    place and do not abort the other stages.
+
+    A program that reads no `dt`, `infinity` or oracle (and has no symbolic
+    input) computes the same thing at every stage, so it is evaluated once
+    and that one StageResult is reported at every stage."""
     schedule = list(schedule)
     if not schedule:
         raise ValueError("schedule must be nonempty")
@@ -204,8 +213,16 @@ def eval_stages(
     if energy_var is None:
         energy_var = model.energy_var
 
+    invariant = not any(
+        isinstance(v, exactnum.ExactReal) for v in inputs
+    ) and not any(
+        isinstance(node, _STAGE_DEPENDENT) for node in syntax.walk(program.body)
+    )
     results = []
     for n in schedule:
+        if invariant and results:
+            results.append(results[0])
+            continue
         ctx = StageContext.for_stage(
             n,
             step_fuel=step_fuel,
@@ -249,9 +266,9 @@ def _exec(cmd, store, run):
         run.meter.charge_assign(cmd.var, run.while_stack)
         run.meter.note_store(len(store))
         return
-    if isinstance(cmd, syntax.Seq):
-        _exec(cmd.first, store, run)
-        _exec(cmd.second, store, run)
+    if isinstance(cmd, syntax.Block):
+        for s in cmd.stmts:
+            _exec(s, store, run)
         return
     if isinstance(cmd, syntax.If):
         run.tick(cmd.loc)

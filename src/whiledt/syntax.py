@@ -18,11 +18,12 @@ before evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 from .errors import (
     MacroError,
+    NestingTooDeep,
     ParseError,
     RecursionNotSupported,
     UnknownMacro,
@@ -34,6 +35,13 @@ KEYWORDS = {
 }
 
 CMP_OPS = ("<=", ">=", "!=", "<", ">", "=")
+
+# Deepest nesting of parentheses, `{ }` blocks, `if`/`while` bodies and
+# unary `-`/`not` the parser accepts; a braced body is one level.  The
+# parser, the evaluator and the printer recurse once or a few times per
+# level; this keeps each of them well inside Python's default recursion
+# limit of 1000.
+MAX_NESTING = 150
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +171,23 @@ class Assign(Command):
 
 
 @dataclass(frozen=True)
-class Seq(Command):
-    first: Command
-    second: Command
+class Block(Command):
+    """Two or more statements run in order, none of them a Block; build
+    one with `block`."""
+
+    stmts: tuple
+
+
+def block(stmts):
+    """The statements in order as one command: nested blocks are spliced
+    in, and a lone statement is returned as itself."""
+    flat = []
+    for s in stmts:
+        if isinstance(s, Block):
+            flat.extend(s.stmts)
+        else:
+            flat.append(s)
+    return flat[0] if len(flat) == 1 else Block(tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -189,6 +211,44 @@ class Program:
     outputs: tuple
     body: Command
     oracles: frozenset = frozenset()
+
+
+# The fields that hold subnodes, per node class: those annotated with a
+# node class, and the tuples `Call.args` and `Block.stmts` (`loc`, the other
+# tuple, is left out of comparisons).
+_CHILD_FIELDS = {
+    cls: tuple(
+        f.name
+        for f in fields(cls)
+        if f.compare and f.type in ("ArithExpr", "BoolExpr", "Command", "tuple")
+    )
+    for base in (ArithExpr, BoolExpr, Command)
+    for cls in base.__subclasses__()
+}
+
+
+def children(node):
+    """The direct subnodes of an AST node, in source order."""
+    out = []
+    for name in _CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if type(value) is tuple:
+            out.extend(value)
+        else:
+            out.append(value)
+    return out
+
+
+def walk(node):
+    """Every node of the tree under `node`, `node` first, in source order.
+
+    Iterative, so no tree is too deep or too long for it."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if _CHILD_FIELDS[type(node)]:
+            stack.extend(reversed(children(node)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +328,20 @@ class _Parser:
     def __init__(self, source):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse, *args):
+        """`parse(*args)` one nesting level deeper.  A parse that fails
+        inside is abandoned, or restarted from a saved depth (`bool_factor`)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise NestingTooDeep(
+                f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
+        result = parse(*args)
+        self.depth -= 1
+        return result
 
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -359,12 +433,11 @@ class _Parser:
         while self.peek().kind == ";":
             self.advance()
             stmts.append(self.statement())
-        cmd = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            cmd = Seq(s, cmd)
-        return cmd
+        return block(stmts)
 
-    def statement(self):
+    def statement(self, body=False):
+        """One statement.  The braces around an `if` or `while` body (`body`)
+        are that body's nesting level, not one more."""
         tok = self.peek()
         loc = (tok.line, tok.col)
         if tok.kind == "skip":
@@ -372,24 +445,24 @@ class _Parser:
             return Skip(loc=loc)
         if tok.kind == "{":
             self.advance()
-            cmd = self.command()
+            cmd = self.command() if body else self.nested(self.command)
             self.expect("}")
             return cmd
         if tok.kind == "if":
             self.advance()
             cond = self.bool_expr()
             self.expect("then")
-            then = self.statement()
+            then = self.nested(self.statement, True)
             orelse = Skip(loc=loc)
             if self.peek().kind == "else":
                 self.advance()
-                orelse = self.statement()
+                orelse = self.nested(self.statement, True)
             return If(cond, then, orelse, loc=loc)
         if tok.kind == "while":
             self.advance()
             cond = self.bool_expr()
             self.expect("do")
-            body = self.statement()
+            body = self.nested(self.statement, True)
             return While(cond, body, loc=loc)
         if tok.kind == "ident":
             name = self.advance().text
@@ -445,15 +518,15 @@ class _Parser:
     def bool_factor(self):
         if self.peek().kind == "not":
             self.advance()
-            return Not(self.bool_factor())
-        start = self.pos
+            return Not(self.nested(self.bool_factor))
+        start, depth = self.pos, self.depth
         try:
             return self.comparison()
         except ParseError:
             if self.tokens[start].kind == "(":
-                self.pos = start
+                self.pos, self.depth = start, depth
                 self.advance()
-                inner = self.bool_expr()
+                inner = self.nested(self.bool_expr)
                 self.expect(")")
                 return inner
             raise
@@ -500,7 +573,7 @@ class _Parser:
     def factor(self):
         if self.peek().kind == "-":
             self.advance()
-            inner = self.factor()
+            inner = self.nested(self.factor)
             if isinstance(inner, RationalLiteral):
                 return RationalLiteral(-inner.value)
             return Neg(inner)
@@ -520,15 +593,15 @@ class _Parser:
         if tok.kind == "floor":
             self.advance()
             self.expect("(")
-            inner = self.arith_expr()
+            inner = self.nested(self.arith_expr)
             self.expect(")")
             return Floor(inner)
         if tok.kind == "J":
             self.advance()
             self.expect("(")
-            first = self.arith_expr()
+            first = self.nested(self.arith_expr)
             self.expect(",")
-            second = self.arith_expr()
+            second = self.nested(self.arith_expr)
             self.expect(")")
             return Pair(first, second)
         if tok.kind == "real3":
@@ -549,7 +622,7 @@ class _Parser:
             return Var(tok.text)
         if tok.kind == "(":
             self.advance()
-            inner = self.arith_expr()
+            inner = self.nested(self.arith_expr)
             self.expect(")")
             return inner
         raise ParseError(
@@ -577,52 +650,9 @@ def _fold_binop(op, lhs, rhs):
 
 
 def _collect_oracles(node):
-    names = set()
-    _walk_oracles(node, names)
-    return frozenset(names)
-
-
-def _walk_oracles(node, names):
-    if isinstance(node, OracleRealConst):
-        names.add(node.oracle)
-    elif isinstance(node, MemberOf):
-        names.add(node.oracle)
-        _walk_oracles(node.expr, names)
-    elif isinstance(node, (Neg, Floor)):
-        _walk_oracles(node.expr, names)
-    elif isinstance(node, BinOp):
-        _walk_oracles(node.lhs, names)
-        _walk_oracles(node.rhs, names)
-    elif isinstance(node, Pair):
-        _walk_oracles(node.first, names)
-        _walk_oracles(node.second, names)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _walk_oracles(a, names)
-    elif isinstance(node, Cmp):
-        _walk_oracles(node.lhs, names)
-        _walk_oracles(node.rhs, names)
-    elif isinstance(node, ChainedCmp):
-        _walk_oracles(node.lo, names)
-        _walk_oracles(node.mid, names)
-        _walk_oracles(node.hi, names)
-    elif isinstance(node, Not):
-        _walk_oracles(node.expr, names)
-    elif isinstance(node, (And, Or)):
-        _walk_oracles(node.lhs, names)
-        _walk_oracles(node.rhs, names)
-    elif isinstance(node, Assign):
-        _walk_oracles(node.expr, names)
-    elif isinstance(node, Seq):
-        _walk_oracles(node.first, names)
-        _walk_oracles(node.second, names)
-    elif isinstance(node, If):
-        _walk_oracles(node.cond, names)
-        _walk_oracles(node.then, names)
-        _walk_oracles(node.orelse, names)
-    elif isinstance(node, While):
-        _walk_oracles(node.cond, names)
-        _walk_oracles(node.body, names)
+    return frozenset(
+        n.oracle for n in walk(node) if isinstance(n, (OracleRealConst, MemberOf))
+    )
 
 
 def parse_module(source):
@@ -642,9 +672,9 @@ def parse(source) -> Program:
 
 def expand_macros(defs, main) -> Program:
     """Inline all macro calls, call-by-value into fresh variables."""
-    taken = set(_collect_idents(main.body)) | set(main.inputs) | set(main.outputs)
+    taken = _collect_idents(main.body) | set(main.inputs) | set(main.outputs)
     for d in defs.values():
-        taken |= set(_collect_idents(d.body)) | set(d.inputs) | set(d.outputs)
+        taken |= _collect_idents(d.body) | set(d.inputs) | set(d.outputs)
     counter = [0]
     body = _expand_cmd(main.body, defs, frozenset(), counter, taken)
     return Program(main.inputs, main.outputs, body, _collect_oracles(body))
@@ -659,11 +689,8 @@ def _expand_cmd(cmd, defs, stack, counter, taken):
                 "macro calls must be the entire right-hand side of an assignment"
             )
         return cmd
-    if isinstance(cmd, Seq):
-        return Seq(
-            _expand_cmd(cmd.first, defs, stack, counter, taken),
-            _expand_cmd(cmd.second, defs, stack, counter, taken),
-        )
+    if isinstance(cmd, Block):
+        return block([_expand_cmd(s, defs, stack, counter, taken) for s in cmd.stmts])
     if isinstance(cmd, If):
         if _contains_call(cmd.cond):
             raise MacroError("macro calls cannot appear inside guards")
@@ -700,11 +727,10 @@ def _expand_call(assign, defs, stack, counter, taken):
             f"macro {call.name!r} takes {len(d.inputs)} argument(s),"
             f" got {len(call.args)}"
         )
-    for a in call.args:
-        if _contains_call(a):
-            raise MacroError("macro calls cannot be nested inside arguments")
+    if any(_contains_call(a) for a in call.args):
+        raise MacroError("macro calls cannot be nested inside arguments")
     # Fresh, collision-free names for every variable of the subprogram.
-    local = set(_collect_idents(d.body)) | set(d.inputs) | set(d.outputs)
+    local = _collect_idents(d.body) | set(d.inputs) | set(d.outputs)
     while True:
         counter[0] += 1
         mapping = {v: f"_{call.name}_{counter[0]}_{v}" for v in sorted(local)}
@@ -715,140 +741,39 @@ def _expand_call(assign, defs, stack, counter, taken):
         Assign(mapping[p], arg, loc=assign.loc)
         for p, arg in zip(d.inputs, call.args)
     ]
-    body = _rename_cmd(d.body, mapping)
-    body = _expand_cmd(body, defs, stack | {call.name}, counter, taken)
-    stmts.append(body)
+    body = _rename(d.body, mapping)
+    stmts.append(_expand_cmd(body, defs, stack | {call.name}, counter, taken))
     stmts.append(Assign(assign.var, Var(mapping[d.outputs[0]]), loc=assign.loc))
-    cmd = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        cmd = Seq(s, cmd)
-    return cmd
+    return block(stmts)
 
 
 def _contains_call(node):
-    if isinstance(node, Call):
-        return True
-    if isinstance(node, (Neg, Floor)):
-        return _contains_call(node.expr)
-    if isinstance(node, BinOp):
-        return _contains_call(node.lhs) or _contains_call(node.rhs)
-    if isinstance(node, Pair):
-        return _contains_call(node.first) or _contains_call(node.second)
-    if isinstance(node, Cmp):
-        return _contains_call(node.lhs) or _contains_call(node.rhs)
-    if isinstance(node, ChainedCmp):
-        return any(_contains_call(x) for x in (node.lo, node.mid, node.hi))
-    if isinstance(node, MemberOf):
-        return _contains_call(node.expr)
-    if isinstance(node, Not):
-        return _contains_call(node.expr)
-    if isinstance(node, (And, Or)):
-        return _contains_call(node.lhs) or _contains_call(node.rhs)
-    return False
+    return any(isinstance(n, Call) for n in walk(node))
 
 
 def _collect_idents(node):
-    out = []
+    """Every variable name `node` reads or assigns."""
+    return {
+        n.name if isinstance(n, Var) else n.var
+        for n in walk(node)
+        if isinstance(n, (Var, Assign))
+    }
+
+
+def _rename(node, mapping):
+    """`node` with every variable it reads or assigns renamed by `mapping`."""
     if isinstance(node, Var):
-        out.append(node.name)
-    elif isinstance(node, (Neg, Floor)):
-        out += _collect_idents(node.expr)
-    elif isinstance(node, BinOp):
-        out += _collect_idents(node.lhs) + _collect_idents(node.rhs)
-    elif isinstance(node, Pair):
-        out += _collect_idents(node.first) + _collect_idents(node.second)
-    elif isinstance(node, Call):
-        for a in node.args:
-            out += _collect_idents(a)
-    elif isinstance(node, Cmp):
-        out += _collect_idents(node.lhs) + _collect_idents(node.rhs)
-    elif isinstance(node, ChainedCmp):
-        out += (
-            _collect_idents(node.lo)
-            + _collect_idents(node.mid)
-            + _collect_idents(node.hi)
-        )
-    elif isinstance(node, MemberOf):
-        out += _collect_idents(node.expr)
-    elif isinstance(node, Not):
-        out += _collect_idents(node.expr)
-    elif isinstance(node, (And, Or)):
-        out += _collect_idents(node.lhs) + _collect_idents(node.rhs)
-    elif isinstance(node, Assign):
-        out.append(node.var)
-        out += _collect_idents(node.expr)
-    elif isinstance(node, Seq):
-        out += _collect_idents(node.first) + _collect_idents(node.second)
-    elif isinstance(node, If):
-        out += (
-            _collect_idents(node.cond)
-            + _collect_idents(node.then)
-            + _collect_idents(node.orelse)
-        )
-    elif isinstance(node, While):
-        out += _collect_idents(node.cond) + _collect_idents(node.body)
-    return out
-
-
-def _rename_cmd(cmd, mapping):
-    if isinstance(cmd, Skip):
-        return cmd
-    if isinstance(cmd, Assign):
-        return Assign(
-            mapping.get(cmd.var, cmd.var), _rename_expr(cmd.expr, mapping), loc=cmd.loc
-        )
-    if isinstance(cmd, Seq):
-        return Seq(_rename_cmd(cmd.first, mapping), _rename_cmd(cmd.second, mapping))
-    if isinstance(cmd, If):
-        return If(
-            _rename_bool(cmd.cond, mapping),
-            _rename_cmd(cmd.then, mapping),
-            _rename_cmd(cmd.orelse, mapping),
-            loc=cmd.loc,
-        )
-    if isinstance(cmd, While):
-        return While(
-            _rename_bool(cmd.cond, mapping), _rename_cmd(cmd.body, mapping), loc=cmd.loc
-        )
-    raise TypeError(f"not a command: {cmd!r}")
-
-
-def _rename_expr(e, mapping):
-    if isinstance(e, Var):
-        return Var(mapping.get(e.name, e.name))
-    if isinstance(e, Neg):
-        return Neg(_rename_expr(e.expr, mapping))
-    if isinstance(e, Floor):
-        return Floor(_rename_expr(e.expr, mapping))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, _rename_expr(e.lhs, mapping), _rename_expr(e.rhs, mapping))
-    if isinstance(e, Pair):
-        return Pair(_rename_expr(e.first, mapping), _rename_expr(e.second, mapping))
-    if isinstance(e, Call):
-        return Call(e.name, tuple(_rename_expr(a, mapping) for a in e.args))
-    return e
-
-
-def _rename_bool(b, mapping):
-    if isinstance(b, Cmp):
-        return Cmp(b.op, _rename_expr(b.lhs, mapping), _rename_expr(b.rhs, mapping))
-    if isinstance(b, ChainedCmp):
-        return ChainedCmp(
-            _rename_expr(b.lo, mapping),
-            b.op1,
-            _rename_expr(b.mid, mapping),
-            b.op2,
-            _rename_expr(b.hi, mapping),
-        )
-    if isinstance(b, MemberOf):
-        return MemberOf(_rename_expr(b.expr, mapping), b.oracle)
-    if isinstance(b, Not):
-        return Not(_rename_bool(b.expr, mapping))
-    if isinstance(b, And):
-        return And(_rename_bool(b.lhs, mapping), _rename_bool(b.rhs, mapping))
-    if isinstance(b, Or):
-        return Or(_rename_bool(b.lhs, mapping), _rename_bool(b.rhs, mapping))
-    raise TypeError(f"not a boolean expression: {b!r}")
+        return Var(mapping.get(node.name, node.name))
+    changes = {}
+    for name in _CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if type(value) is tuple:
+            changes[name] = tuple(_rename(v, mapping) for v in value)
+        else:
+            changes[name] = _rename(value, mapping)
+    if isinstance(node, Assign):
+        changes["var"] = mapping.get(node.var, node.var)
+    return replace(node, **changes) if changes else node
 
 
 # ---------------------------------------------------------------------------
@@ -919,15 +844,9 @@ def _pp_bool(b, ctx=0):
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
-def _flatten_seq(cmd):
-    if isinstance(cmd, Seq):
-        return _flatten_seq(cmd.first) + _flatten_seq(cmd.second)
-    return [cmd]
-
-
 def _pp_cmd(cmd, indent, lines):
     pad = "  " * indent
-    stmts = _flatten_seq(cmd)
+    stmts = cmd.stmts if isinstance(cmd, Block) else (cmd,)
     for i, s in enumerate(stmts):
         sep = ";" if i < len(stmts) - 1 else ""
         if isinstance(s, Skip):
@@ -952,13 +871,9 @@ def _pp_cmd(cmd, indent, lines):
 
 
 def pretty_print(program) -> str:
-    """Canonical concrete syntax.
-
-    For a main program as parse_module returns it, parsing the output back
-    gives an equal Program.  After expand_macros it may not: expansion
-    splices each call in as a left-nested Seq, and the parser builds
-    right-nested ones.
-    """
+    """Canonical concrete syntax; parsing the output back gives an equal
+    Program, before and after expand_macros, unless the parentheses it
+    adds (after `not`, around negated operands) nest past MAX_NESTING."""
     lines = []
     lines.append("input" + (" " + ", ".join(program.inputs) if program.inputs else "") + ";")
     lines.append("output" + (" " + ", ".join(program.outputs) if program.outputs else "") + ";")
@@ -995,72 +910,36 @@ def check(program) -> list:
         seen.add(v)
     reported = set()
 
-    def use(expr, defined, loc):
-        for name in _expr_vars(expr):
-            if name not in defined and name not in reported:
-                reported.add(name)
-                diags.append(Diagnostic(USE_BEFORE_ASSIGN, name, loc))
+    def use(node, defined, loc):
+        for n in walk(node):
+            if isinstance(n, Var) and n.name not in defined and n.name not in reported:
+                reported.add(n.name)
+                diags.append(Diagnostic(USE_BEFORE_ASSIGN, n.name, loc))
 
-    def use_bool(b, defined, loc):
-        for name in _bool_vars(b):
-            if name not in defined and name not in reported:
-                reported.add(name)
-                diags.append(Diagnostic(USE_BEFORE_ASSIGN, name, loc))
-
-    def walk(cmd, defined):
+    def assigned_after(cmd, defined):
         if isinstance(cmd, Skip):
             return defined
         if isinstance(cmd, Assign):
             use(cmd.expr, defined, cmd.loc)
             return defined | {cmd.var}
-        if isinstance(cmd, Seq):
-            return walk(cmd.second, walk(cmd.first, defined))
+        if isinstance(cmd, Block):
+            for s in cmd.stmts:
+                defined = assigned_after(s, defined)
+            return defined
         if isinstance(cmd, If):
-            use_bool(cmd.cond, defined, cmd.loc)
-            d1 = walk(cmd.then, defined)
-            d2 = walk(cmd.orelse, defined)
+            use(cmd.cond, defined, cmd.loc)
+            d1 = assigned_after(cmd.then, defined)
+            d2 = assigned_after(cmd.orelse, defined)
             return d1 & d2
         if isinstance(cmd, While):
-            use_bool(cmd.cond, defined, cmd.loc)
-            walk(cmd.body, defined)  # body may run zero times
+            use(cmd.cond, defined, cmd.loc)
+            assigned_after(cmd.body, defined)  # body may run zero times
             return defined
         raise TypeError(f"not a command: {cmd!r}")
 
-    final = walk(program.body, set(program.inputs))
+    final = assigned_after(program.body, set(program.inputs))
     for out in program.outputs:
         if out not in final:
             diags.append(Diagnostic(OUTPUT_NEVER_ASSIGNED, out))
     return diags
 
-
-def _expr_vars(e):
-    if isinstance(e, Var):
-        yield e.name
-    elif isinstance(e, (Neg, Floor)):
-        yield from _expr_vars(e.expr)
-    elif isinstance(e, BinOp):
-        yield from _expr_vars(e.lhs)
-        yield from _expr_vars(e.rhs)
-    elif isinstance(e, Pair):
-        yield from _expr_vars(e.first)
-        yield from _expr_vars(e.second)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from _expr_vars(a)
-
-
-def _bool_vars(b):
-    if isinstance(b, Cmp):
-        yield from _expr_vars(b.lhs)
-        yield from _expr_vars(b.rhs)
-    elif isinstance(b, ChainedCmp):
-        yield from _expr_vars(b.lo)
-        yield from _expr_vars(b.mid)
-        yield from _expr_vars(b.hi)
-    elif isinstance(b, MemberOf):
-        yield from _expr_vars(b.expr)
-    elif isinstance(b, Not):
-        yield from _bool_vars(b.expr)
-    elif isinstance(b, (And, Or)):
-        yield from _bool_vars(b.lhs)
-        yield from _bool_vars(b.rhs)

@@ -9,6 +9,7 @@ from conftest import CORPUS
 from whiledt.cli import main, parse_rational, parse_schedule
 from whiledt.report import fmt_rational, fmt_value
 from whiledt.semantics import DEFAULT_SCHEDULE
+from whiledt.syntax import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +132,31 @@ def test_run_usage_errors(capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
     assert err == "error: --cost expects KEY=VAL, got 'assign_cost'\n"
+    for spec in ("A=graph:NOPE:3", "A=graph:SQ:x"):
+        code, out, err = run_cli(
+            capsys, "run", corpus_file("decide.whdt"), "--input", "7", "--oracle", spec
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_nesting_past_the_limit_is_a_usage_error(tmp_path, capsys):
+    def parens(n):
+        return f"input; output x; x := {'(' * n}1{')' * n}"
+
+    def ifs(n):  # a braced body is one level
+        return "input; output x; x := 0; " + "if x < 1 then { " * n + "x := 1" + " }" * n
+
+    prog = tmp_path / "deep.whdt"
+    for shape, levels in ((parens, MAX_NESTING), (ifs, MAX_NESTING)):
+        prog.write_text(shape(levels))
+        assert run_cli(capsys, "run", str(prog), "--stages", "0..3")[0] == 0
+        for too_deep in (levels + 1, 250, 400):
+            prog.write_text(shape(too_deep))
+            code, out, err = run_cli(capsys, "run", str(prog), "--stages", "0..3")
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"nesting deeper than {MAX_NESTING} levels" in err
 
 
 def test_parallel_flag_is_gone(capsys):

@@ -5,15 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import corpus_source
+from conftest import CORPUS, corpus_source, finite_stream, program_sources
+from whiledt import semantics
+from whiledt.cli import parse_expectations, resolve_oracle
+from whiledt.exactnum import oracle_const
 from whiledt.oracles import builtin_set, cantor_pair, graph_oracle
 from whiledt.semantics import (
     StageContext,
     eval_stage,
     eval_stages,
 )
-from whiledt.syntax import parse
+from whiledt.syntax import expand_macros, parse, parse_module
 
 SMALL_SCHEDULE = list(range(8))
 
@@ -130,6 +135,59 @@ def test_dt_free_programs_are_stage_independent():
     totals = [r.ledger.total for r in results]
     assert all(s == stores[0] for s in stores)
     assert all(t == totals[0] for t in totals)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """The arguments of every `semantics.eval_stage` call the test makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eval_stage(*args)
+
+    monkeypatch.setattr(semantics, "eval_stage", counting)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    program_sources(stage_free=True, bounded=True),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+)
+def test_shared_stage_agrees_with_every_stage(source, x):
+    # dt-free and oracle-free, so eval_stages evaluates one stage for all
+    program = parse(source)
+    seq = eval_stages(program, [x], SMALL_SCHEDULE, step_fuel=60)
+    for i, n in enumerate(SMALL_SCHEDULE):
+        res = eval_stage(program, [x], StageContext.for_stage(n, step_fuel=60))
+        assert seq.statuses[i] == res.status
+        for var in program.outputs:
+            assert seq.outputs[var][i] == (res.store.get(var) if res.status.ok else None)
+        assert seq.ledgers[i] == res.ledger
+        assert seq.loop_iterations[i] == res.loop_iterations
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.whdt")), ids=lambda p: p.name)
+def test_only_stage_invariant_programs_are_evaluated_once(stage_calls, path):
+    source = path.read_text(encoding="utf-8")
+    exp = parse_expectations(source)
+    defs, main = parse_module(source)
+    program = expand_macros(defs, main)
+    oracles = {name: resolve_oracle(name, src, defs) for name, src in exp["oracles"].items()}
+    seq = eval_stages(program, exp["inputs"], SMALL_SCHEDULE, oracles)
+    assert all(status.ok for status in seq.statuses)
+    # a graph oracle runs its macro through eval_stage too
+    calls = sum(args[0] is program for args in stage_calls)
+    # floor.whdt is the one corpus program that reads no dt, infinity or oracle
+    assert calls == (1 if path.name == "floor.whdt" else len(SMALL_SCHEDULE))
+
+
+def test_symbolic_input_is_evaluated_per_stage(stage_calls):
+    x = oracle_const(finite_stream("s", [1, 0, 1]))  # 1 + 1/9
+    seq = eval_stages(parse(corpus_source("floor.whdt")), [x], SMALL_SCHEDULE)
+    assert len(stage_calls) == len(SMALL_SCHEDULE)
+    assert seq.outputs["y"] == [Fraction(1)] * len(SMALL_SCHEDULE)
 
 
 def test_determinism():

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import CORPUS, corpus_source
+from conftest import CORPUS, corpus_source, program_sources
 from whiledt.errors import (
     MacroError,
     ParseError,
@@ -15,6 +16,7 @@ from whiledt.errors import (
 from whiledt.syntax import (
     Assign,
     BinOp,
+    Block,
     ChainedCmp,
     Cmp,
     Dt,
@@ -25,7 +27,6 @@ from whiledt.syntax import (
     Or,
     Program,
     RationalLiteral,
-    Seq,
     Skip,
     Var,
     While,
@@ -69,9 +70,8 @@ def test_division_by_zero_literal_not_folded():
 def test_floor_guard_shape():
     # the canonical floor-scan guard: not (chained or chained)
     p = parse(corpus_source("floor.whdt"))
-    loop = p.body
-    while isinstance(loop, Seq):
-        loop = loop.second if not isinstance(loop.first, While) else loop.first
+    assert isinstance(p.body, Block)
+    loop = p.body.stmts[1]
     assert isinstance(loop, While)
     guard = loop.cond
     assert isinstance(guard, Not)
@@ -100,7 +100,7 @@ def test_parse_error_has_location_and_expectations():
 def test_membership_only_in_guards():
     p = parse("input x; output y; y := 0; while not (J(x, y) in A) do y := y + 1")
     assert p.oracles == frozenset({"A"})
-    w = p.body.second
+    w = p.body.stmts[1]
     assert isinstance(w, While)
     assert isinstance(w.cond, Not)
     assert isinstance(w.cond.expr, MemberOf)
@@ -113,13 +113,13 @@ def test_real3_collects_oracle_requirement():
 
 def test_if_without_else_is_skip():
     p = parse("input; output y; y := 0; if y < 1 then y := 2")
-    assert p.body.second == If(Cmp("<", Var("y"), RationalLiteral(Fraction(1))),
-                               Assign("y", RationalLiteral(Fraction(2))), Skip())
+    assert p.body.stmts[1] == If(Cmp("<", Var("y"), RationalLiteral(Fraction(1))),
+                                 Assign("y", RationalLiteral(Fraction(2))), Skip())
 
 
 def test_while_location_is_recorded():
     p = parse("input;\noutput u;\nu := 0;\nwhile u < 1 do\n  u := u + 1")
-    w = p.body.second
+    w = p.body.stmts[1]
     assert isinstance(w, While)
     assert w.loc == (4, 1)
 
@@ -131,6 +131,39 @@ def test_corpus_round_trips():
         assert parse(printed) == p
         # idempotence: one normalization is a fixed point
         assert pretty_print(parse(printed)) == printed
+
+
+@settings(max_examples=60, deadline=None)
+@given(program_sources())
+def test_pretty_print_round_trips_whole_programs(source):
+    defs, main = parse_module(source)
+    assert parse_module(pretty_print(main))[1] == main
+    program = expand_macros(defs, main)
+    printed = pretty_print(program)
+    assert parse(printed) == program
+    assert pretty_print(parse(printed)) == printed
+
+
+def test_long_straight_line_program_round_trips():
+    rng = random.Random(3000)
+    lines = []
+    for i in range(3000):
+        a, b = rng.randrange(3), rng.randrange(3)
+        if i % 10 == 0:
+            lines.append(f"v{a} := M(v{b}, {rng.randint(0, 9)})")
+        else:
+            lines.append(f"v{a} := v{b} + {rng.randint(0, 9)}")
+    source = (
+        "def M(p, q) -> r { r := p - q }\n"
+        "input; output v0;\nv0 := 0; v1 := 1; v2 := 2;\n" + ";\n".join(lines)
+    )
+    defs, main = parse_module(source)
+    assert len(main.body.stmts) == 3003
+    assert parse_module(pretty_print(main))[1] == main
+    program = expand_macros(defs, main)
+    assert isinstance(program.body, Block) and len(program.body.stmts) == 3003 + 300 * 3
+    assert parse(pretty_print(program)) == program
+    assert check(program) == []
 
 
 def test_pretty_print_empty_program():
