@@ -19,47 +19,57 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DivisionByZero, OracleQueryLimit, UnresolvedComparison
 
 LT, EQ, GT = "LT", "EQ", "GT"
 
-# Digit-query budget for a single comparison / floor / divisor check.
+# Budget of new digit queries for a single comparison / floor / divisor check.
 DEFAULT_FUEL = 4096
 
 
+class QueryRecorder:
+    """The distinct oracle queries made during one stage evaluation.
+
+    Reading digit i of a stream computes digits 0..i, so a stream's digit
+    queries are one prefix length; membership queries are a set of keys.
+    """
+
+    def __init__(self):
+        self.prefix = {}  # stream name -> number of leading digits read
+        self.members = set()
+        self.count = 0
+
+    def record_member(self, key):
+        if key not in self.members:
+            self.members.add(key)
+            self.count += 1
+
+
 class Fuel:
-    """Counts digit queries issued by one operation; trips at the limit."""
+    """One operation's budget over a stage's QueryRecorder: it trips when the
+    operation would add more than `limit` new distinct queries.  Digits
+    the stage already holds are free to read again."""
 
-    def __init__(self, limit=DEFAULT_FUEL):
+    def __init__(self, limit=DEFAULT_FUEL, recorder=None):
         self.limit = limit
-        self.used = 0
+        self.recorder = QueryRecorder() if recorder is None else recorder
+        self.start = self.recorder.count
 
-    def spend(self, n=1):
-        self.used += n
-        if self.used > self.limit:
+    def read(self, stream, m):
+        """Read digits 0..m-1 of `stream`, recording the new ones."""
+        rec = self.recorder
+        new = m - rec.prefix.get(stream.name, 0)
+        if new > 0 and rec.count + new - self.start > self.limit:
             raise OracleQueryLimit(
                 f"digit queries exceeded the configured bound of {self.limit}"
             )
-
-
-class QueryRecorder:
-    """Set of distinct oracle queries made during one stage evaluation."""
-
-    def __init__(self):
-        self._seen = set()
-
-    def record(self, key):
-        """Record a query key; returns True when it is new."""
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        return True
-
-    @property
-    def count(self):
-        return len(self._seen)
+        stream.digit(m - 1)
+        if new > 0:
+            rec.prefix[stream.name] = m
+            rec.count += new
 
 
 class OracleReal:
@@ -76,13 +86,9 @@ class OracleReal:
         self._digits = []
         self._psums = [Fraction(0)]  # _psums[m] = sum of first m terms
 
-    def digit(self, i, fuel=None, recorder=None):
+    def digit(self, i):
         if i < 0:
             raise ValueError("digit index must be >= 0")
-        if fuel is not None:
-            fuel.spend()
-        if recorder is not None:
-            recorder.record((self.name, "digit", i))
         while len(self._digits) <= i:
             j = len(self._digits)
             d = self._digit_fn(j)
@@ -95,19 +101,25 @@ class OracleReal:
             self._psums.append(self._psums[-1] + Fraction(d, 3**j))
         return self._digits[i]
 
-    def prefix_sum(self, m, fuel=None, recorder=None):
-        """Exact value of the first m digit terms."""
+    def prefix_sum(self, m, fuel=None):
+        """Exact value of the first m digit terms, read under `fuel`."""
         if m > 0:
-            self.digit(m - 1, fuel, recorder)
-            if fuel is not None and m > 1:
-                fuel.spend(m - 1)
-            if recorder is not None:
-                for i in range(m - 1):
-                    recorder.record((self.name, "digit", i))
+            if fuel is None:
+                self.digit(m - 1)
+            else:
+                fuel.read(self, m)
         return self._psums[m]
 
     def __repr__(self):
         return f"OracleReal({self.name!r})"
+
+
+def fmt_rational(q):
+    """`p/q` or `p`, as str(Fraction) writes it, but also for numbers past
+    Python's int-to-str digit limit, which does not apply to Decimal."""
+    if q.denominator == 1:
+        return str(Decimal(q.numerator))
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def tail_bound(m):
@@ -132,7 +144,7 @@ class Interval:
         return self.lo <= x <= self.hi
 
     def __repr__(self):
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{fmt_rational(self.lo)}, {fmt_rational(self.hi)}]"
 
 
 class ExactReal:
@@ -301,23 +313,22 @@ def div(a, b, affine=True, fuel_limit=DEFAULT_FUEL, recorder=None):
             return _affine(a.offset / b, a.coeff / b, a.stream)
         return SymExpr("/", a, b)
     prec = _decide(
-        _depth_enclosures(b, Fuel(fuel_limit), recorder),
+        _depth_enclosures(b, Fuel(fuel_limit, recorder)),
         lambda j, iv: None if 0 in iv else j,
-        "divisor cannot be separated from zero within fuel {fuel};"
-        " last enclosure {last}",
+        "divisor sign",
         fuel_limit,
     )
     return SymExpr("/", a, b, den_prec=prec)
 
 
-def _decide(enclosures, verdict, refusal, fuel_limit):
+def _decide(enclosures, verdict, what, fuel_limit):
     """The refinement loop behind every exact comparison, floor and divisor
     check: read shrinking enclosures until one decides, or refuse.
 
     `enclosures` yields (step, Interval) pairs and `verdict(step, iv)`
     returns the answer, or None while the enclosure is undecided.  When
-    the digit fuel runs out the loop raises UnresolvedComparison with
-    `refusal` formatted with the fuel limit and the last enclosure read.
+    the digit fuel runs out the loop raises UnresolvedComparison naming
+    `what` was left undecided, the fuel and the last enclosure read.
     """
     last = None
     try:
@@ -327,7 +338,8 @@ def _decide(enclosures, verdict, refusal, fuel_limit):
                 return answer
     except OracleQueryLimit:
         raise UnresolvedComparison(
-            refusal.format(fuel=fuel_limit, last=last),
+            f"{what} unresolved after {fuel_limit} digit queries;"
+            f" last enclosure {last}",
             fuel=fuel_limit,
         ) from None
 
@@ -344,13 +356,13 @@ def _depths():
         j = max(j + 1, 2 * j)
 
 
-def _depth_enclosures(x, fuel, recorder):
+def _depth_enclosures(x, fuel):
     """(j, enclosure at depth j) for the geometric depth schedule."""
     for j in _depths():
-        yield j, _enclose(x, j, fuel, recorder)
+        yield j, _enclose(x, j, fuel)
 
 
-def _enclosures(x, fuel, recorder):
+def _enclosures(x, fuel):
     """Shrinking enclosures of x for sign and floor searches.
 
     Affine values advance one digit at a time, so decoding programs issue
@@ -360,32 +372,32 @@ def _enclosures(x, fuel, recorder):
     if isinstance(x, Affine):
         m = 0
         while True:
-            yield m, _affine_enclosure(x, m, fuel, recorder)
+            yield m, _affine_enclosure(x, m, fuel)
             m += 1
     else:
-        yield from _depth_enclosures(x, fuel, recorder)
+        yield from _depth_enclosures(x, fuel)
 
 
-def _affine_enclosure(x, m, fuel, recorder):
+def _affine_enclosure(x, m, fuel):
     """x's enclosure with m digits of its stream read."""
-    s = x.stream.prefix_sum(m, fuel, recorder)
+    s = x.stream.prefix_sum(m, fuel)
     a = x.offset + x.coeff * s
     b = x.offset + x.coeff * (s + tail_bound(m))
-    return Interval(min(a, b), max(a, b))
+    return Interval(a, b) if x.coeff > 0 else Interval(b, a)
 
 
-def _enclose(x, j, fuel=None, recorder=None) -> Interval:
+def _enclose(x, j, fuel=None) -> Interval:
     """Raw enclosure at refinement depth j (nested, shrinking in j)."""
     if type(x) is Fraction:
         return Interval(x, x)
     if isinstance(x, Affine):
-        return _affine_enclosure(x, j + 1, fuel, recorder)
+        return _affine_enclosure(x, j + 1, fuel)
     if isinstance(x, SymExpr):
-        li = _enclose(x.lhs, j, fuel, recorder)
+        li = _enclose(x.lhs, j, fuel)
         if x.op == "/":
-            ri = _enclose(x.rhs, max(j, x.den_prec), fuel, recorder)
+            ri = _enclose(x.rhs, max(j, x.den_prec), fuel)
         else:
-            ri = _enclose(x.rhs, j, fuel, recorder)
+            ri = _enclose(x.rhs, j, fuel)
         return _combine(x.op, li, ri)
     raise TypeError(f"not an ExactReal: {x!r}")
 
@@ -408,7 +420,7 @@ def _combine(op, a, b):
     raise ValueError(f"unknown operator {op!r}")
 
 
-def refine(x, k, fuel=None, recorder=None) -> Interval:
+def refine(x, k, fuel=None) -> Interval:
     """Enclosure of width at most 3**-k, nested as k grows."""
     if k < 0:
         raise ValueError("precision must be >= 0")
@@ -422,10 +434,10 @@ def refine(x, k, fuel=None, recorder=None) -> Interval:
         c = abs(x.coeff)
         while c * tail_bound(m) > target:
             m += 1
-        return _affine_enclosure(x, m, fuel, recorder)
+        return _affine_enclosure(x, m, fuel)
     j = k
     while True:
-        iv = _enclose(x, j, fuel, recorder)
+        iv = _enclose(x, j, fuel)
         if iv.width <= target:
             return iv
         j += 1
@@ -451,10 +463,7 @@ def compare(a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     if type(d) is Fraction:
         return LT if d < 0 else GT if d > 0 else EQ
     return _decide(
-        _enclosures(d, Fuel(fuel_limit), recorder),
-        _sign,
-        "comparison unresolved after {fuel} digit queries",
-        fuel_limit,
+        _enclosures(d, Fuel(fuel_limit, recorder)), _sign, "comparison", fuel_limit
     )
 
 
@@ -496,9 +505,9 @@ def cmp_holds(op, a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
         return RAT_CMP[op](d, 0)
     holds = _ENCLOSURE_CMP[op]
     return _decide(
-        _enclosures(d, Fuel(fuel_limit), recorder),
+        _enclosures(d, Fuel(fuel_limit, recorder)),
         lambda _, iv: holds(iv.lo, iv.hi),
-        f"guard `{op}` unresolved after {{fuel}} digit queries",
+        f"guard `{op}`",
         fuel_limit,
     )
 
@@ -509,21 +518,18 @@ def _common_floor(_, iv):
 
 
 def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Fraction:
-    """Exact floor; raises UnresolvedComparison at unseparable boundaries."""
+    """Exact floor; raises UnresolvedComparison when the budget runs out
+    before an enclosure falls between two integers."""
     x = _coerce(x)
     if type(x) is Fraction:
         return Fraction(math.floor(x))
     fl = _decide(
-        _enclosures(x, Fuel(fuel_limit), recorder),
-        _common_floor,
-        "floor sits at an integer boundary beyond fuel {fuel};"
-        " last enclosure {last}",
-        fuel_limit,
+        _enclosures(x, Fuel(fuel_limit, recorder)), _common_floor, "floor", fuel_limit
     )
     return Fraction(fl)
 
 
-def digit_extract(x, k, recorder=None):
+def digit_extract(x, k):
     """Digit d_k of a value known to be 3**k times a digit stream.
 
     The provenance is checked structurally: x must be Affine with offset 0
@@ -540,4 +546,4 @@ def digit_extract(x, k, recorder=None):
         raise ValueError(
             f"value {x!r} is not tagged as 3**{k} times an oracle constant"
         )
-    return x.stream.digit(k, None, recorder)
+    return x.stream.digit(k)

@@ -49,7 +49,6 @@ class PeriodicPattern:
 @dataclass(frozen=True)
 class Unbounded:
     direction: str  # '+' or '-'
-    growth_exponent: float | None = None
     heuristic: bool = True
 
 
@@ -138,27 +137,14 @@ def _has_consecutive_run(ns, length):
 def _unbounded(ns, vs):
     mono = trend.strictly_monotone_tail(vs)
     if mono == 1 and vs[-1] > UNBOUNDED_ABS_THRESHOLD:
-        return Unbounded("+", growth_exponent=_growth_exponent(ns, vs))
+        return Unbounded("+")
     if mono == -1 and -vs[-1] > UNBOUNDED_ABS_THRESHOLD:
-        return Unbounded("-", growth_exponent=_growth_exponent(ns, [-v for v in vs]))
+        return Unbounded("-")
     if trend.divergent_up(ns, vs):
-        return Unbounded("+", growth_exponent=_growth_exponent(ns, vs))
+        return Unbounded("+")
     if trend.divergent_down(ns, vs):
-        return Unbounded("-", growth_exponent=_growth_exponent(ns, [-v for v in vs]))
+        return Unbounded("-")
     return None
-
-
-def _growth_exponent(ns, vs):
-    # Informational only: log-log slope over the last doubling-ish pair.
-    try:
-        mid = len(ns) // 2
-        v0, v1 = vs[mid], vs[-1]
-        n0, n1 = ns[mid] + 1, ns[-1] + 1
-        if v0 <= 0 or v1 <= 0 or n0 == n1:
-            return None
-        return round(math.log(v1 / v0) / math.log(Fraction(n1, n0)), 3)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        return None
 
 
 def _convergent(ns, vs):

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 
 from . import hyperreal
+from .exactnum import fmt_rational
 from .hyperreal import (
     ConvergentNonconstant,
     EventuallyConstant,
@@ -20,14 +20,6 @@ from .hyperreal import (
     PeriodicPattern,
     Unbounded,
 )
-
-
-def fmt_rational(q):
-    """`p/q` or `p`, as str(Fraction) writes it, but also for numbers past
-    Python's int-to-str digit limit, which does not apply to Decimal."""
-    if q.denominator == 1:
-        return str(Decimal(q.numerator))
-    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def fmt_value(v):
@@ -96,11 +88,7 @@ def _verdict_dict(cls):
             "note": "a nonprincipal ultrafilter concentrates on exactly one residue class",
         }
     elif isinstance(cls, Unbounded):
-        d = {
-            "class": "unbounded",
-            "direction": cls.direction,
-            "growth_exponent": cls.growth_exponent,
-        }
+        d = {"class": "unbounded", "direction": cls.direction}
     elif isinstance(cls, ConvergentNonconstant):
         d = {
             "class": "convergent",
@@ -260,9 +248,7 @@ def _verdict_text(vd):
     if c == "periodic":
         return f"periodic with period {vd['period']}"
     if c == "unbounded":
-        exp = vd.get("growth_exponent")
-        extra = f", growth exponent ~{exp}" if exp is not None else ""
-        return f"unbounded ({vd['direction']}){extra}"
+        return f"unbounded ({vd['direction']})"
     if c == "convergent":
         return f"convergent, limit estimate {vd['limit_estimate']}"
     if c == "insufficient-stages":

@@ -10,7 +10,7 @@ raw step metering while its declared energy stays bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import trend
@@ -74,12 +74,8 @@ def load_cost_config(path):
 @dataclass
 class ResourceLedger:
     total: Fraction = Fraction(0)
-    loop_subtotals: dict = field(default_factory=dict)
     oracle_queries: int = 0
     peak_store: int = 0
-
-    def nonloop_total(self):
-        return self.total - sum(self.loop_subtotals.values(), Fraction(0))
 
 
 class Meter:
@@ -93,53 +89,32 @@ class Meter:
 
     def __init__(self, model=None):
         self.model = model or CostModel()
-        self._counts = [0, 0, 0]  # assigns, guards, oracle queries
-        self._loops = {}  # loc -> [assigns, guards, oracle queries]
+        self.assigns = 0
+        self.guards = 0
+        self.oracle_queries = 0
         self._peak = 0
 
-    def _loop_cell(self, while_stack):
-        loc = while_stack[-1]
-        cell = self._loops.get(loc)
-        if cell is None:
-            cell = self._loops[loc] = [0, 0, 0]
-        return cell
+    def charge_assign(self, var):
+        if var not in self.model.clock_vars:
+            self.assigns += 1
 
-    def charge_assign(self, var, while_stack):
-        if var in self.model.clock_vars:
-            return
-        self._counts[0] += 1
-        if while_stack:
-            self._loop_cell(while_stack)[0] += 1
+    def charge_guard(self):
+        self.guards += 1
 
-    def charge_guard(self, while_stack):
-        self._counts[1] += 1
-        if while_stack:
-            self._loop_cell(while_stack)[1] += 1
-
-    def charge_oracle(self, n, while_stack):
-        self._counts[2] += n
-        if while_stack:
-            self._loop_cell(while_stack)[2] += n
+    def charge_oracle(self, n):
+        self.oracle_queries += n
 
     def note_store(self, size):
         if size > self._peak:
             self._peak = size
 
-    def _price(self, counts):
-        m = self.model
-        return (
-            counts[0] * m.assign_cost
-            + counts[1] * m.guard_cost
-            + counts[2] * m.oracle_cost
-        )
-
     def ledger(self) -> ResourceLedger:
+        m = self.model
         return ResourceLedger(
-            total=self._price(self._counts),
-            loop_subtotals={
-                loc: self._price(c) for loc, c in self._loops.items() if self._price(c)
-            },
-            oracle_queries=self._counts[2],
+            total=self.assigns * m.assign_cost
+            + self.guards * m.guard_cost
+            + self.oracle_queries * m.oracle_cost,
+            oracle_queries=self.oracle_queries,
             peak_store=self._peak,
         )
 

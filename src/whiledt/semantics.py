@@ -147,11 +147,6 @@ class _Run:
             self._consts[name] = exactnum.oracle_const(self.oracles[name].real())
         return self._consts[name]
 
-    def charge_oracle_delta(self, before):
-        delta = self.recorder.count - before
-        if delta:
-            self.meter.charge_oracle(delta, self.while_stack)
-
 
 def _loc_str(loc):
     return f"{loc[0]}:{loc[1]}"
@@ -178,6 +173,8 @@ def eval_stage(program, inputs, ctx, oracles=None) -> StageResult:
         status = HaltStatus("fuel-exhausted", location=e.loc)
     except EvalError as e:
         status = HaltStatus("error", error=e.kind, message=str(e))
+    if run:
+        run.meter.charge_oracle(run.recorder.count)
     return StageResult(
         store=store,
         status=status,
@@ -263,7 +260,7 @@ def _exec(cmd, store, run):
         run.tick(cmd.loc)
         value = _aeval(cmd.expr, store, run)
         store[cmd.var] = value
-        run.meter.charge_assign(cmd.var, run.while_stack)
+        run.meter.charge_assign(cmd.var)
         run.meter.note_store(len(store))
         return
     if isinstance(cmd, syntax.Block):
@@ -272,7 +269,7 @@ def _exec(cmd, store, run):
         return
     if isinstance(cmd, syntax.If):
         run.tick(cmd.loc)
-        run.meter.charge_guard(run.while_stack)
+        run.meter.charge_guard()
         if _beval(cmd.cond, store, run):
             _exec(cmd.then, store, run)
         else:
@@ -285,7 +282,7 @@ def _exec(cmd, store, run):
         try:
             while True:
                 run.tick(cmd.loc)
-                run.meter.charge_guard(run.while_stack)
+                run.meter.charge_guard()
                 if not _beval(cmd.cond, store, run):
                     break
                 run.loop_iterations[loc] += 1
@@ -323,25 +320,20 @@ def _aeval(expr, store, run):
         if expr.op == "*":
             return exactnum.mul(lhs, rhs, affine=affine)
         if expr.op == "/":
-            before = run.recorder.count
-            value = exactnum.div(
+            return exactnum.div(
                 lhs,
                 rhs,
                 affine=affine,
                 fuel_limit=run.ctx.cmp_fuel,
                 recorder=run.recorder,
             )
-            run.charge_oracle_delta(before)
-            return value
         raise ValueError(f"unknown operator {expr.op!r}")
     if isinstance(expr, syntax.Floor):
-        inner = _aeval(expr.expr, store, run)
-        before = run.recorder.count
-        value = exactnum.floor_value(
-            inner, fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder
+        return exactnum.floor_value(
+            _aeval(expr.expr, store, run),
+            fuel_limit=run.ctx.cmp_fuel,
+            recorder=run.recorder,
         )
-        run.charge_oracle_delta(before)
-        return value
     if isinstance(expr, syntax.Pair):
         x = _nat(_aeval(expr.first, store, run), "first pairing argument")
         y = _nat(_aeval(expr.second, store, run), "second pairing argument")
@@ -364,12 +356,9 @@ def _nat(value, what):
 def _cmp(op, lhs, rhs, run):
     if type(lhs) is Fraction and type(rhs) is Fraction:
         return exactnum.RAT_CMP[op](lhs, rhs)
-    before = run.recorder.count
-    result = exactnum.cmp_holds(
+    return exactnum.cmp_holds(
         op, lhs, rhs, fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder
     )
-    run.charge_oracle_delta(before)
-    return result
 
 
 def _beval(b, store, run):
@@ -386,9 +375,7 @@ def _beval(b, store, run):
     if isinstance(b, syntax.MemberOf):
         z = _nat(_aeval(b.expr, store, run), "membership query")
         oracle = run.oracles[b.oracle]
-        new = run.recorder.record((oracle.name, "member", z))
-        if new:
-            run.meter.charge_oracle(1, run.while_stack)
+        run.recorder.record_member((oracle.name, z))
         return bool(oracle.member(z))
     if isinstance(b, syntax.Not):
         return not _beval(b.expr, store, run)

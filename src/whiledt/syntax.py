@@ -36,12 +36,16 @@ KEYWORDS = {
 
 CMP_OPS = ("<=", ">=", "!=", "<", ">", "=")
 
-# Deepest nesting of parentheses, `{ }` blocks, `if`/`while` bodies and
-# unary `-`/`not` the parser accepts; a braced body is one level.  The
-# parser, the evaluator and the printer recurse once or a few times per
-# level; this keeps each of them well inside Python's default recursion
-# limit of 1000.
+# Deepest nesting of parentheses, `{ }` blocks, `if`/`while` bodies,
+# unary `-`/`not` and chained binary operators the parser accepts; a
+# braced body is one level.  The parser, the evaluator and the printer
+# recurse once or a few times per level; this keeps each of them well
+# inside Python's default recursion limit of 1000.
 MAX_NESTING = 150
+
+# Left-deep binary operators by precedence, loosest first (`_Parser.chain`).
+BOOL_OPS = (("or",), ("and",))
+ARITH_OPS = (("+", "-"), ("*", "/"))
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +333,54 @@ class _Parser:
         self.tokens = tokenize(source)
         self.pos = 0
         self.depth = 0
+        self.peak = 0  # deepest level reached, for the height of a chain
+
+    def too_deep(self, depth):
+        if depth > MAX_NESTING:
+            tok = self.peek()
+            raise NestingTooDeep(
+                f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
 
     def nested(self, parse, *args):
         """`parse(*args)` one nesting level deeper.  A parse that fails
         inside is abandoned, or restarted from a saved depth (`bool_factor`)."""
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            tok = self.peek()
-            raise NestingTooDeep(
-                f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col
-            )
+        self.too_deep(self.depth)
+        self.peak = max(self.peak, self.depth)
         result = parse(*args)
         self.depth -= 1
         return result
+
+    def chain(self, table, level=0):
+        """A left-deep chain of the operators `table[level]` whose operands
+        are chains of the next level, and below the last level `factor`s
+        (ARITH_OPS) or `bool_factor`s (BOOL_OPS).  Each operator puts what
+        comes before it one level deeper, so a chain nests as deep as its
+        deepest operand plus one level per operator."""
+        base, outer = self.depth, self.peak
+        height, lhs, op = 0, None, None
+        while True:
+            self.peak = base
+            if level + 1 < len(table):
+                rhs = self.chain(table, level + 1)
+            elif table is ARITH_OPS:
+                rhs = self.factor()
+            else:
+                rhs = self.bool_factor()
+            if op is None:
+                lhs, height = rhs, self.peak - base
+            else:
+                height = max(height, self.peak - base) + 1
+                self.too_deep(base + height)
+                if table is ARITH_OPS:
+                    lhs = _fold_binop(op, lhs, rhs)
+                else:
+                    lhs = (Or if op == "or" else And)(lhs, rhs)
+            if self.peek().kind not in table[level]:
+                self.peak = max(outer, base + height)
+                return lhs
+            op = self.advance().kind
 
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -450,7 +489,7 @@ class _Parser:
             return cmd
         if tok.kind == "if":
             self.advance()
-            cond = self.bool_expr()
+            cond = self.chain(BOOL_OPS)
             self.expect("then")
             then = self.nested(self.statement, True)
             orelse = Skip(loc=loc)
@@ -460,7 +499,7 @@ class _Parser:
             return If(cond, then, orelse, loc=loc)
         if tok.kind == "while":
             self.advance()
-            cond = self.bool_expr()
+            cond = self.chain(BOOL_OPS)
             self.expect("do")
             body = self.nested(self.statement, True)
             return While(cond, body, loc=loc)
@@ -484,10 +523,10 @@ class _Parser:
             self.advance()
             args = []
             if self.peek().kind != ")":
-                args.append(self.arith_expr())
+                args.append(self.chain(ARITH_OPS))
                 while self.peek().kind == ",":
                     self.advance()
-                    args.append(self.arith_expr())
+                    args.append(self.chain(ARITH_OPS))
             self.expect(")")
             nxt = self.peek()
             if nxt.kind not in (";", "}", "eof", "else"):
@@ -497,52 +536,38 @@ class _Parser:
                     nxt.col,
                 )
             return Call(name, tuple(args))
-        return self.arith_expr()
+        return self.chain(ARITH_OPS)
 
     # ---- boolean expressions
-
-    def bool_expr(self):
-        lhs = self.bool_term()
-        while self.peek().kind == "or":
-            self.advance()
-            lhs = Or(lhs, self.bool_term())
-        return lhs
-
-    def bool_term(self):
-        lhs = self.bool_factor()
-        while self.peek().kind == "and":
-            self.advance()
-            lhs = And(lhs, self.bool_factor())
-        return lhs
 
     def bool_factor(self):
         if self.peek().kind == "not":
             self.advance()
             return Not(self.nested(self.bool_factor))
-        start, depth = self.pos, self.depth
+        start, depth, peak = self.pos, self.depth, self.peak
         try:
             return self.comparison()
         except ParseError:
             if self.tokens[start].kind == "(":
-                self.pos, self.depth = start, depth
+                self.pos, self.depth, self.peak = start, depth, peak
                 self.advance()
-                inner = self.nested(self.bool_expr)
+                inner = self.nested(self.chain, BOOL_OPS)
                 self.expect(")")
                 return inner
             raise
 
     def comparison(self):
-        lhs = self.arith_expr()
+        lhs = self.chain(ARITH_OPS)
         tok = self.peek()
         if tok.kind == "in":
             self.advance()
             return MemberOf(lhs, self.ident("oracle name"))
         if tok.kind in CMP_OPS:
             op1 = self.advance().kind
-            mid = self.arith_expr()
+            mid = self.chain(ARITH_OPS)
             if self.peek().kind in CMP_OPS:
                 op2 = self.advance().kind
-                hi = self.arith_expr()
+                hi = self.chain(ARITH_OPS)
                 return ChainedCmp(lhs, op1, mid, op2, hi)
             return Cmp(op1, lhs, mid)
         raise ParseError(
@@ -553,22 +578,6 @@ class _Parser:
         )
 
     # ---- arithmetic expressions
-
-    def arith_expr(self):
-        lhs = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            lhs = _fold_binop(op, lhs, rhs)
-        return lhs
-
-    def term(self):
-        lhs = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.factor()
-            lhs = _fold_binop(op, lhs, rhs)
-        return lhs
 
     def factor(self):
         if self.peek().kind == "-":
@@ -593,15 +602,15 @@ class _Parser:
         if tok.kind == "floor":
             self.advance()
             self.expect("(")
-            inner = self.nested(self.arith_expr)
+            inner = self.nested(self.chain, ARITH_OPS)
             self.expect(")")
             return Floor(inner)
         if tok.kind == "J":
             self.advance()
             self.expect("(")
-            first = self.nested(self.arith_expr)
+            first = self.nested(self.chain, ARITH_OPS)
             self.expect(",")
-            second = self.nested(self.arith_expr)
+            second = self.nested(self.chain, ARITH_OPS)
             self.expect(")")
             return Pair(first, second)
         if tok.kind == "real3":
@@ -622,7 +631,7 @@ class _Parser:
             return Var(tok.text)
         if tok.kind == "(":
             self.advance()
-            inner = self.nested(self.arith_expr)
+            inner = self.nested(self.chain, ARITH_OPS)
             self.expect(")")
             return inner
         raise ParseError(
@@ -834,7 +843,8 @@ def _pp_bool(b, ctx=0):
     if isinstance(b, MemberOf):
         return f"{_pp_arith(b.expr)} in {b.oracle}"
     if isinstance(b, Not):
-        return f"not ({_pp_bool(b.expr)})"
+        inner = _pp_bool(b.expr)
+        return f"not ({inner})" if isinstance(b.expr, (And, Or)) else f"not {inner}"
     if isinstance(b, And):
         s = f"{_pp_bool(b.lhs, _AND)} and {_pp_bool(b.rhs, _AND + 1)}"
         return f"({s})" if ctx > _AND else s
@@ -872,8 +882,9 @@ def _pp_cmd(cmd, indent, lines):
 
 def pretty_print(program) -> str:
     """Canonical concrete syntax; parsing the output back gives an equal
-    Program, before and after expand_macros, unless the parentheses it
-    adds (after `not`, around negated operands) nest past MAX_NESTING."""
+    Program, before and after expand_macros.  Only a folded literal can
+    print deeper than written (`0 - 3` as `(-3)`), which near MAX_NESTING
+    can be too deep to parse back."""
     lines = []
     lines.append("input" + (" " + ", ".join(program.inputs) if program.inputs else "") + ";")
     lines.append("output" + (" " + ", ".join(program.outputs) if program.outputs else "") + ";")

@@ -147,11 +147,18 @@ def test_nesting_past_the_limit_is_a_usage_error(tmp_path, capsys):
     def ifs(n):  # a braced body is one level
         return "input; output x; x := 0; " + "if x < 1 then { " * n + "x := 1" + " }" * n
 
+    def sums(n):  # each operator of a left-deep chain is one level
+        return "input; output x; y := 1; x := " + " + ".join(["y"] * (n + 1))
+
+    def ors(n):
+        return "input; output x; x := 0; if " + " or ".join(["x < 1"] * (n + 1)) + " then x := 1"
+
     prog = tmp_path / "deep.whdt"
-    for shape, levels in ((parens, MAX_NESTING), (ifs, MAX_NESTING)):
+    for shape in (parens, ifs, sums, ors):
+        levels = MAX_NESTING
         prog.write_text(shape(levels))
         assert run_cli(capsys, "run", str(prog), "--stages", "0..3")[0] == 0
-        for too_deep in (levels + 1, 250, 400):
+        for too_deep in (levels + 1, 250, 400, 989):
             prog.write_text(shape(too_deep))
             code, out, err = run_cli(capsys, "run", str(prog), "--stages", "0..3")
             assert code == 2 and out == ""

@@ -16,6 +16,7 @@ from whiledt.exactnum import (
     LT,
     RAT_CMP,
     Fuel,
+    QueryRecorder,
     add,
     cmp_holds,
     compare,
@@ -283,10 +284,21 @@ def test_affine_cancellation_is_exact():
 
 
 def test_fuel_counter_trips():
-    fuel = Fuel(3)
-    fuel.spend(3)
+    # A budget of new distinct digit queries over the stage's recorder:
+    # digits the stage already holds are free to read again.
+    stream = finite_stream("A", [1, 0, 1])
+    recorder = QueryRecorder()
+    assert stream.prefix_sum(3, Fuel(3, recorder)) == Fraction(10, 9)
+    assert recorder.count == 3
+    fuel = Fuel(3, recorder)
+    stream.prefix_sum(3, fuel)
+    stream.prefix_sum(6, fuel)
+    assert recorder.count == 6
     with pytest.raises(OracleQueryLimit):
-        fuel.spend()
+        stream.prefix_sum(7, fuel)
+    assert recorder.count == 6  # the refused read records nothing
+    stream.prefix_sum(7, Fuel(1, recorder))
+    assert recorder.prefix == {"A": 7} and recorder.count == 7
 
 
 def test_compare_strict_order_sample():
@@ -317,28 +329,32 @@ def _exactly_one():
 @pytest.mark.parametrize(
     "call, message",
     [
+        # the affine route reads one digit a step, 10 in all: 3/2 * 3**-10
         (
             lambda r: compare(r, exact(1), 10),
-            "comparison unresolved after 10 digit queries",
+            "comparison unresolved after 10 digit queries;"
+            " last enclosure [0, 1/39366]",
         ),
         (
             lambda r: cmp_holds(">", r, exact(1), 10),
-            "guard `>` unresolved after 10 digit queries",
+            "guard `>` unresolved after 10 digit queries;"
+            " last enclosure [0, 1/39366]",
         ),
         (
             lambda r: floor_value(neg(r), 10),
-            "floor sits at an integer boundary beyond fuel 10;"
-            " last enclosure [-55/54, -1]",
+            "floor unresolved after 10 digit queries;"
+            " last enclosure [-39367/39366, -1]",
         ),
+        # the depth schedule reads 1, 2, 3, 5 and 9 digits; 17 is past 10
         (
             lambda r: floor_value(mul(exact(-1), r, affine=False), 10),
-            "floor sits at an integer boundary beyond fuel 10;"
-            " last enclosure [-19/18, -1]",
+            "floor unresolved after 10 digit queries;"
+            " last enclosure [-13123/13122, -1]",
         ),
         (
             lambda r: div(exact(1), sub(r, exact(1), affine=False), fuel_limit=10),
-            "divisor cannot be separated from zero within fuel 10;"
-            " last enclosure [0, 1/18]",
+            "divisor sign unresolved after 10 digit queries;"
+            " last enclosure [0, 1/13122]",
         ),
     ],
     ids=["compare", "cmp_holds", "floor-affine", "floor-general", "div"],

@@ -12,7 +12,7 @@ from conftest import CORPUS, corpus_source, finite_stream, program_sources
 from whiledt import semantics
 from whiledt.cli import parse_expectations, resolve_oracle
 from whiledt.exactnum import oracle_const
-from whiledt.oracles import builtin_set, cantor_pair, graph_oracle
+from whiledt.oracles import builtin_set, cantor_pair, finite_set, graph_oracle
 from whiledt.semantics import (
     StageContext,
     eval_stage,
@@ -91,6 +91,90 @@ def test_decide_program_oracle_query_count():
             {"A": builtin_set("primes")},
         )
         assert res.ledger.oracle_queries == x + 1
+
+
+def test_fast_path_decide_reads_exactly_the_digits_it_needs():
+    # Each read of digit i costs one query however often it is re-read, so
+    # the default budget decides every x here, reading digits 0..x
+    program = parse(corpus_source("decide.whdt"))
+    for name in ("primes", "evens", "squares"):
+        oracle = builtin_set(name)
+        for x in range(90, 121):
+            res = eval_stage(
+                program, [Fraction(x)], StageContext.for_stage(0), {"A": oracle}
+            )
+            assert res.status.ok, (name, x, res.status)
+            assert res.store["y"] == oracle.member(x), (name, x)
+            assert res.ledger.oracle_queries == x + 1, (name, x)
+
+
+def test_refused_stage_counts_the_digits_it_read():
+    # real3(Z) is exactly 0: the floor reads digit 0, and the refused guard
+    # reads nine more before its budget of ten new queries runs out
+    src = "input; output y; y := floor(real3(Z)); if real3(Z) = 0 then y := 1"
+    res = eval_stage(
+        parse(src),
+        [],
+        StageContext.for_stage(0, cmp_fuel=10),
+        {"Z": finite_set("Z", [])},
+    )
+    assert res.status.error == "unresolved-comparison"
+    assert "after 10 digit queries" in res.status.message
+    assert res.ledger.oracle_queries == 11
+    assert res.ledger.total == 1 + 1 + 11
+
+
+_CONSTANTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_DECODE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from("+-*/"), _CONSTANTS.filter(bool)).map(
+            lambda t: f"a := a {t[0]} ({t[1]})"
+        ),
+        st.just("a := 3 * a"),
+        st.just("b := b + floor(a)"),
+        st.tuples(st.sampled_from(("<", "<=", ">", ">=", "!=")), _CONSTANTS).map(
+            lambda t: f"if a {t[0]} {t[1]} then b := b + 1"
+        ),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _CONSTANTS.filter(bool),
+    _CONSTANTS,
+    _DECODE_STEPS,
+    st.integers(0, 12),
+    st.frozensets(st.integers(0, 15)),
+)
+def test_fast_path_agrees_with_interval_route(coeff, offset, steps, x, members):
+    # Decoding programs: an affine image of an oracle constant, shifted x
+    # digits left, then scaled, floored and compared.  Wherever both routes
+    # halt they give the same outputs.
+    src = "\n".join(
+        [
+            "input x; output y, b;",
+            f"a := ({coeff}) * real3(A) + ({offset}); b := 0;",
+            "while x != 0 do { a := 3 * a; x := x - 1 };",
+            *(f"{step};" for step in steps),
+            "y := floor(a)",
+        ]
+    )
+    program = parse(src)
+    oracles = {"A": finite_set("A", members)}
+    fast, interval = (
+        eval_stage(
+            program,
+            [Fraction(x)],
+            StageContext.for_stage(0, cmp_fuel=200, use_fast_path=use),
+            oracles,
+        )
+        for use in (True, False)
+    )
+    if fast.status.ok and interval.status.ok:
+        assert fast.store["y"] == interval.store["y"]
+        assert fast.store["b"] == interval.store["b"]
 
 
 def test_compute_program_matches_direct_evaluation():

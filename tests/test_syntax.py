@@ -14,6 +14,7 @@ from whiledt.errors import (
     UnknownMacro,
 )
 from whiledt.syntax import (
+    MAX_NESTING,
     Assign,
     BinOp,
     Block,
@@ -164,6 +165,19 @@ def test_long_straight_line_program_round_trips():
     assert isinstance(program.body, Block) and len(program.body.stmts) == 3003 + 300 * 3
     assert parse(pretty_print(program)) == program
     assert check(program) == []
+
+
+def test_nested_nots_round_trip_at_the_nesting_limit():
+    # `not` is printed without parentheses unless its operand is an
+    # `and` or an `or`, so the printed form nests no deeper than the source
+    source = f"input; output x; x := 0; if {'not ' * MAX_NESTING}x < 1 then x := 1"
+    program = parse(source)
+    printed = pretty_print(program)
+    assert "(" not in printed
+    assert parse(printed) == program
+    grouped = parse("input; output x; x := 0; if not (x < 1 or not x < 2) then x := 1")
+    assert "not (x < 1 or not x < 2)" in pretty_print(grouped)
+    assert parse(pretty_print(grouped)) == grouped
 
 
 def test_pretty_print_empty_program():
