@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import hyperreal, oracles, semantics, syntax
+from . import exactnum, hyperreal, oracles, semantics, syntax
 from .errors import (
     EvalError,
     InsufficientStages,
@@ -92,32 +92,84 @@ def resolve_oracle(name, src, defs):
     raise ValueError(f"unknown oracle source {src!r}")
 
 
-def build_run_report(
-    program,
-    name,
-    inputs,
-    schedule,
-    binding,
-    oracle_descr,
-    *,
-    step_fuel=semantics.DEFAULT_STEP_FUEL,
-    cmp_fuel=4096,
-    cost_model=None,
-    use_fast_path=True,
-):
-    """Execute the stages and assemble the full report; returns
-    (report, all_stages_halted)."""
-    model = cost_model or CostModel()
-    seq = eval_stages(
-        program,
-        inputs,
-        schedule,
-        oracles=binding,
-        step_fuel=step_fuel,
-        cmp_fuel=cmp_fuel,
+class Exit(Exception):
+    """An early exit of `whiledt run`: its exit code and message lines."""
+
+    def __init__(self, code, *lines):
+        super().__init__(*lines)
+        self.code = code
+        self.lines = lines
+
+
+def load_run(args) -> dict:
+    """The one path from `run` arguments to `build_run_report`'s keyword
+    arguments: read, parse, expand and check the program, then parse the
+    inputs, schedule, cost model and oracle bindings.  Raises Exit."""
+    # Python 3.11's argparse reads an explicit `--flag=--` as [], not "--"
+    if [] in (*args.input, *args.oracle, *args.clock_var, *args.cost, args.stages,
+              args.fuel, args.cmp_fuel, args.energy_var, args.cost_config):
+        raise Exit(2, "`--` is not a flag value")
+    path = Path(args.program)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise Exit(2, f"cannot read {path}: {e}")
+    try:
+        defs, main = syntax.parse_module(source)
+        program = syntax.expand_macros(defs, main)
+    except (ParseError, MacroError) as e:
+        raise Exit(2 if isinstance(e, NestingTooDeep) else 1, f"{path}: {e}")
+    diags = syntax.check(program)
+    if diags:
+        raise Exit(1, *(f"{path}: {d}" for d in diags))
+    try:
+        if args.fuel <= 0 or args.cmp_fuel <= 0:
+            raise ValueError("--fuel and --cmp-fuel must be positive")
+        inputs = [parse_rational(v) for f in args.input for v in f.split(",")]
+        stages = args.stages
+        schedule = parse_schedule(stages) if isinstance(stages, str) else list(stages)
+        items = load_cost_config(args.cost_config) if args.cost_config else []
+        for kv in args.cost:
+            if "=" not in kv:
+                raise ValueError(f"--cost expects KEY=VAL, got {kv!r}")
+            items.append(tuple(kv.split("=", 1)))
+        model = CostModel(clock_vars=frozenset(args.clock_var)).with_overrides(items)
+        binding = {}
+        descr = {}
+        for spec in args.oracle:
+            if "=" not in spec:
+                raise ValueError(f"--oracle expects NAME=SRC, got {spec!r}")
+            oname, src = (part.strip() for part in spec.split("=", 1))
+            binding[oname] = resolve_oracle(oname, src, defs)
+            descr[oname] = src
+    except (ValueError, KeyError, OSError, MacroError) as e:
+        raise Exit(2, str(e))
+    if len(inputs) != len(program.inputs):
+        raise Exit(
+            2, f"program takes {len(program.inputs)} input(s), got {len(inputs)}"
+        )
+    missing = sorted(program.oracles - set(binding))
+    if missing:
+        raise Exit(1, f"program requires unbound oracle(s): {', '.join(missing)}")
+    return dict(
+        program=program,
+        name=path.name,
+        inputs=inputs,
+        schedule=schedule,
+        binding=binding,
+        oracle_descr=descr,
+        step_fuel=args.fuel,
+        cmp_fuel=args.cmp_fuel,
         cost_model=model,
-        use_fast_path=use_fast_path,
+        use_fast_path=not args.no_fast_path,
+        energy_var=args.energy_var or None,
     )
+
+
+def build_run_report(program, name, inputs, schedule, binding, oracle_descr, **run_kw):
+    """Execute the stages and assemble the full report; returns
+    (report, all_stages_halted).  `run_kw` goes to `eval_stages`."""
+    seq = eval_stages(program, inputs, schedule, oracles=binding, **run_kw)
     warnings = []
     for n, st in zip(seq.schedule, seq.statuses):
         if not st.ok:
@@ -168,78 +220,12 @@ def build_run_report(
 
 
 def cmd_run(args) -> int:
-    path = Path(args.program)
     try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        return 2
-    try:
-        defs, main = syntax.parse_module(source)
-        program = syntax.expand_macros(defs, main)
-    except (ParseError, MacroError) as e:
-        print(f"error: {path}: {e}", file=sys.stderr)
-        return 2 if isinstance(e, NestingTooDeep) else 1
-    diags = syntax.check(program)
-    if diags:
-        for d in diags:
-            print(f"error: {path}: {d}", file=sys.stderr)
-        return 1
-    try:
-        if args.fuel <= 0 or args.cmp_fuel <= 0:
-            raise ValueError("--fuel and --cmp-fuel must be positive")
-        inputs = [parse_rational(v) for f in args.input for v in f.split(",")]
-        schedule = parse_schedule(args.stages)
-        items = load_cost_config(args.cost_config) if args.cost_config else []
-        for kv in args.cost:
-            if "=" not in kv:
-                raise ValueError(f"--cost expects KEY=VAL, got {kv!r}")
-            items.append(tuple(kv.split("=", 1)))
-        model = CostModel().with_overrides(items)
-        if args.clock_var:
-            model = model.with_overrides(
-                [("clock_vars", ",".join(sorted(set(args.clock_var) | model.clock_vars)))]
-            )
-        if args.energy_var:
-            model = model.with_overrides([("energy_var", args.energy_var)])
-        binding = {}
-        descr = {}
-        for spec in args.oracle:
-            if "=" not in spec:
-                raise ValueError(f"--oracle expects NAME=SRC, got {spec!r}")
-            oname, src = spec.split("=", 1)
-            binding[oname.strip()] = resolve_oracle(oname.strip(), src.strip(), defs)
-            descr[oname.strip()] = src.strip()
-    except (ValueError, KeyError, OSError, MacroError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if len(inputs) != len(program.inputs):
-        print(
-            f"error: program takes {len(program.inputs)} input(s),"
-            f" got {len(inputs)}",
-            file=sys.stderr,
-        )
-        return 2
-    missing = sorted(program.oracles - set(binding))
-    if missing:
-        print(
-            f"error: program requires unbound oracle(s): {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        report, ok = build_run_report(
-            program,
-            path.name,
-            inputs,
-            schedule,
-            binding,
-            descr,
-            step_fuel=args.fuel,
-            cmp_fuel=args.cmp_fuel,
-            cost_model=model,
-            use_fast_path=not args.no_fast_path,
-        )
+        report, ok = build_run_report(**load_run(args))
+    except Exit as e:
+        for line in e.lines:
+            print(f"error: {line}", file=sys.stderr)
+        return e.code
     except (EvalError, WhdtError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -252,99 +238,68 @@ def cmd_run(args) -> int:
 
 
 EXPECT_PREFIX = "# expect-"
+# header keys that are the `whiledt run` flag of the same name
+RUN_FLAG_KEYS = ("input", "oracle", "stages", "energy-var", "clock-var")
 
 
 def parse_expectations(source):
-    """Structured `# expect-key: value` comment header of a corpus file."""
-    exp = {"inputs": [], "oracles": {}, "outputs": {}, "clock_vars": []}
+    """Structured `# expect-key: value` comment header of a corpus file.
+
+    Returns (flags, expected): the `whiledt run` flags the header names,
+    and the verdicts it expects, {"output": {var: descriptor}} plus
+    "supertask" and "energy-supertask" when given."""
+    flags, expected = [], {"output": {}}
     seen_any = False
     for raw in source.splitlines():
         line = raw.strip()
         if not line.startswith(EXPECT_PREFIX):
             continue
         seen_any = True
-        body = line[len(EXPECT_PREFIX):]
-        key, _, value = body.partition(":")
+        key, _, value = line[len(EXPECT_PREFIX):].partition(":")
         key, value = key.strip(), value.strip()
-        if key == "input":
-            exp["inputs"].append(parse_rational(value))
-        elif key == "oracle":
-            oname, _, src = value.partition("=")
-            exp["oracles"][oname.strip()] = src.strip()
+        if key in RUN_FLAG_KEYS:
+            flags.append(f"--{key}={value}")
         elif key == "output":
             var, _, verdict = value.partition("=")
-            exp["outputs"][var.strip()] = verdict.strip()
-        elif key == "supertask":
-            exp["supertask"] = value
-        elif key == "energy-supertask":
-            exp["energy_supertask"] = value
-        elif key == "energy-var":
-            exp["energy_var"] = value
-        elif key == "clock-var":
-            exp["clock_vars"].append(value)
-        elif key == "stages":
-            exp["stages"] = value
+            expected["output"][var.strip()] = verdict.strip()
+        elif key in ("supertask", "energy-supertask"):
+            expected[key] = value
         else:
             raise ValueError(f"unknown expectation key {key!r}")
     if not seen_any:
         raise ValueError("missing expectation header (# expect-... comments)")
-    return exp
+    return flags, expected
 
 
 def verify_corpus_file(path):
-    """Run one corpus program against its embedded expectations.
+    """Run one corpus program as `whiledt run PATH <header flags>` and
+    check the verdicts its header expects.
 
     Returns (report, failures) where failures is a list of mismatch
     descriptions (empty means the file passes).
     """
-    source = Path(path).read_text(encoding="utf-8")
-    exp = parse_expectations(source)
-    defs, main = syntax.parse_module(source)
-    program = syntax.expand_macros(defs, main)
-    diags = syntax.check(program)
-    if diags:
-        return None, [f"static check: {d}" for d in diags]
-    binding = {
-        name: resolve_oracle(name, src, defs) for name, src in exp["oracles"].items()
-    }
-    schedule = parse_schedule(exp.get("stages", "")) if exp.get("stages") else list(
-        DEFAULT_SCHEDULE
-    )
-    model = CostModel(
-        clock_vars=frozenset(exp["clock_vars"]),
-        energy_var=exp.get("energy_var"),
-    )
-    report, ok = build_run_report(
-        program,
-        Path(path).name,
-        exp["inputs"],
-        schedule,
-        binding,
-        dict(exp["oracles"]),
-        cost_model=model,
-    )
+    flags, expected = parse_expectations(Path(path).read_text(encoding="utf-8"))
+    # `--` keeps a path that starts with `-` from reading as a flag
+    args = build_arg_parser().parse_args(["run", *flags, "--", str(path)])
+    try:
+        report, ok = build_run_report(**load_run(args))
+    except Exit as e:
+        return None, list(e.lines)
     failures = []
     if not ok:
         failures.append("not all stages halted")
-    for var, expected in exp["outputs"].items():
+    for var, want in expected["output"].items():
         actual = verdict_descriptor(report.verdicts.get(var))
-        if actual != expected:
-            failures.append(f"output {var}: expected {expected!r}, got {actual!r}")
-    if "supertask" in exp:
-        actual = report.supertask.metered.kind if report.supertask else "unclassified"
-        if actual != exp["supertask"]:
+        if actual != want:
+            failures.append(f"output {var}: expected {want!r}, got {actual!r}")
+    st = report.supertask
+    for key, actual in (
+        ("supertask", st.metered.kind if st else "unclassified"),
+        ("energy-supertask", st.energy.kind if st and st.energy else "unclassified"),
+    ):
+        if key in expected and actual != expected[key]:
             failures.append(
-                f"supertask: expected {exp['supertask']!r}, got {actual!r}"
-            )
-    if "energy_supertask" in exp:
-        actual = (
-            report.supertask.energy.kind
-            if report.supertask and report.supertask.energy
-            else "unclassified"
-        )
-        if actual != exp["energy_supertask"]:
-            failures.append(
-                f"energy supertask: expected {exp['energy_supertask']!r}, got {actual!r}"
+                f"{key.replace('-', ' ')}: expected {expected[key]!r}, got {actual!r}"
             )
     return report, failures
 
@@ -403,11 +358,12 @@ def build_arg_parser():
     run.add_argument("program", help="path to a .whdt source file")
     run.add_argument("--input", action="append", default=[], metavar="RAT",
                      help="input value (exact rational); repeat or comma-separate")
-    run.add_argument("--stages", default="0..15+doubling:3", metavar="SPEC",
-                     help="stage schedule, e.g. 0..15, 0,3,9, 0..15+doubling:3")
+    run.add_argument("--stages", default=DEFAULT_SCHEDULE, metavar="SPEC",
+                     help="stage schedule, e.g. 0..15, 0,3,9 or 0..7+doubling:2"
+                          " (default: 0..15, then doubling 3 times)")
     run.add_argument("--fuel", type=int, default=semantics.DEFAULT_STEP_FUEL,
                      help="step budget per stage")
-    run.add_argument("--cmp-fuel", type=int, default=4096,
+    run.add_argument("--cmp-fuel", type=int, default=exactnum.DEFAULT_FUEL,
                      help="digit-query budget per exact comparison")
     run.add_argument("--oracle", action="append", default=[], metavar="NAME=SRC",
                      help="bind an oracle: primes|evens|squares|finite:..|"

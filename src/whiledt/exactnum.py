@@ -194,7 +194,8 @@ class Affine(ExactReal):
     stream: OracleReal
 
     def __repr__(self):
-        return f"Affine({self.offset} + {self.coeff}*{self.stream.name})"
+        offset, coeff = fmt_rational(self.offset), fmt_rational(self.coeff)
+        return f"Affine({offset} + {coeff}*{self.stream.name})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,7 +215,7 @@ class SymExpr(ExactReal):
 
 def value_repr(x):
     """repr of a value as reports print it: a rational as `Rat(p/q)`."""
-    return f"Rat({x})" if type(x) is Fraction else repr(x)
+    return f"Rat({fmt_rational(x)})" if type(x) is Fraction else repr(x)
 
 
 def exact(x) -> Fraction:

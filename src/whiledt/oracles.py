@@ -13,8 +13,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BitfileRange, BoundExceeded
+from . import syntax
+from .errors import BitfileRange, BoundExceeded, EvalError, UnknownMacro
 from .exactnum import OracleReal
+
+# step budget of one call of a macro behind a graph oracle
+MACRO_STEP_FUEL = 10**6
 
 
 class OracleSet:
@@ -140,24 +144,22 @@ def graph_oracle(fn, bound, name=None) -> OracleSet:
     return OracleSet(name or f"graph:{bound}", member, source=f"graph(bound={bound})")
 
 
-def macro_callable(defs, name, step_fuel=10**6):
+def macro_callable(defs, name):
     """Natural-to-natural function computed by a one-argument subprogram.
 
     The subprogram must be dt-free; it is evaluated at a fixed internal
     stage, memoized per argument.
     """
-    from .errors import EvalError, UnknownMacro
-
     if name not in defs:
         raise UnknownMacro(f"unknown macro {name!r}")
     d = defs[name]
     if len(d.inputs) != 1 or len(d.outputs) != 1:
         raise ValueError(f"macro {name!r} must take one argument and return one value")
 
-    from .semantics import StageContext, eval_stage, expand_macros
+    from .semantics import StageContext, eval_stage
 
-    program = expand_macros(defs, d)
-    ctx = StageContext.for_stage(0, step_fuel=step_fuel)
+    program = syntax.expand_macros(defs, d)
+    ctx = StageContext.for_stage(0, step_fuel=MACRO_STEP_FUEL)
     cache = {}
 
     def fn(x):
@@ -182,7 +184,6 @@ class LimitSpec:
 
     name: str
     defs: dict = field(default_factory=dict)
-    description: str = ""
 
 
 def run_limit(spec: LimitSpec, x, schedule, oracles=None, **kw):
@@ -192,12 +193,9 @@ def run_limit(spec: LimitSpec, x, schedule, oracles=None, **kw):
     classifier recovers the limit whenever F(., x) stabilizes inside the
     schedule.
     """
-    from . import syntax
-    from .semantics import eval_stages, expand_macros
+    from .semantics import eval_stages
 
     if spec.name not in spec.defs:
-        from .errors import UnknownMacro
-
         raise UnknownMacro(f"macro {spec.name!r} not defined in the spec")
     main = syntax.Program(
         inputs=("x",),
@@ -207,5 +205,5 @@ def run_limit(spec: LimitSpec, x, schedule, oracles=None, **kw):
         ),
         oracles=frozenset(),
     )
-    program = expand_macros(spec.defs, main)
+    program = syntax.expand_macros(spec.defs, main)
     return eval_stages(program, [x], schedule, oracles=oracles, **kw)

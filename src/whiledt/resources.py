@@ -15,10 +15,14 @@ from fractions import Fraction
 
 from . import trend
 from .errors import InsufficientStages
+from .exactnum import fmt_rational
 
 GOOD, BAD, UNDETERMINED = "good", "bad", "undetermined"
 
 MIN_STAGES = 8
+
+# the CostModel fields that `--cost` and `--cost-config` set
+PRICES = ("assign_cost", "guard_cost", "oracle_cost")
 
 
 @dataclass(frozen=True)
@@ -27,32 +31,22 @@ class CostModel:
     guard_cost: Fraction = Fraction(1)
     oracle_cost: Fraction = Fraction(1)
     clock_vars: frozenset = frozenset()
-    energy_var: str | None = None
 
     def __post_init__(self):
-        for name in ("assign_cost", "guard_cost", "oracle_cost"):
+        for name in PRICES:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
     def with_overrides(self, items):
-        """Apply `key=value` overrides (values parsed as exact rationals)."""
+        """Apply `key=value` price overrides (values parsed as exact rationals)."""
         kw = {}
         for key, value in items:
-            if key in ("assign_cost", "guard_cost", "oracle_cost"):
-                try:
-                    kw[key] = Fraction(value)
-                except (ValueError, ZeroDivisionError):
-                    raise ValueError(
-                        f"{key} expects an exact rational, got {value!r}"
-                    ) from None
-            elif key == "clock_vars":
-                kw["clock_vars"] = frozenset(
-                    v.strip() for v in value.split(",") if v.strip()
-                )
-            elif key == "energy_var":
-                kw["energy_var"] = value.strip() or None
-            else:
+            if key not in PRICES:
                 raise KeyError(f"unknown cost model key {key!r}")
+            try:
+                kw[key] = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{key} expects an exact rational, got {value!r}") from None
         return replace(self, **kw)
 
 
@@ -145,7 +139,9 @@ def classify_cost_sequence(schedule, values) -> SupertaskClass:
     vs = [Fraction(v) for v in values]
     if trend.divergent_up(ns, vs):
         return SupertaskClass(
-            BAD, detail=f"totals grow from {vs[0]} to {vs[-1]} over the schedule"
+            BAD,
+            detail=f"totals grow from {fmt_rational(vs[0])} to {fmt_rational(vs[-1])}"
+            " over the schedule",
         )
     if trend.decaying_increments(vs):
         return SupertaskClass(

@@ -207,8 +207,6 @@ def eval_stages(
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     model = cost_model or CostModel()
-    if energy_var is None:
-        energy_var = model.energy_var
 
     invariant = not any(
         isinstance(v, exactnum.ExactReal) for v in inputs

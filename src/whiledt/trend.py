@@ -39,26 +39,26 @@ def growth_persists(ns, vs):
     return _mean(tail) > 0 and 2 * _mean(tail) >= _mean(head)
 
 
-def divergent_up(ns, vs, window=TAIL_WINDOW):
+def divergent_up(ns, vs):
     """Nondecreasing over the tail window, net growth, persistent slope."""
     if len(vs) < 3:
         return False
-    w = min(window, len(vs) - 1)
+    w = min(TAIL_WINDOW, len(vs) - 1)
     tail = gaps(vs[-(w + 1):])
     if any(g < 0 for g in tail) or vs[-1] <= vs[-(w + 1)]:
         return False
     return growth_persists(ns, vs)
 
 
-def divergent_down(ns, vs, window=TAIL_WINDOW):
-    return divergent_up(ns, [-v for v in vs], window)
+def divergent_down(ns, vs):
+    return divergent_up(ns, [-v for v in vs])
 
 
-def strictly_monotone_tail(vs, window=TAIL_WINDOW):
-    """+1 / -1 when the last `window` gaps are all strictly one-signed."""
+def strictly_monotone_tail(vs):
+    """+1 / -1 when the last TAIL_WINDOW gaps are all strictly one-signed."""
     if len(vs) < 2:
         return 0
-    w = min(window, len(vs) - 1)
+    w = min(TAIL_WINDOW, len(vs) - 1)
     tail = gaps(vs[-(w + 1):])
     if all(g > 0 for g in tail):
         return 1

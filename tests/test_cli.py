@@ -1,9 +1,15 @@
 """Command-line interface: runs, reports, corpus verification, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS
 from whiledt.cli import main, parse_rational, parse_schedule
@@ -304,3 +310,167 @@ def test_report_renders_rationals_past_the_int_digit_limit():
     assert fmt_rational(Fraction(2, big)) == f"2/{digits}"
     for q in (Fraction(0), Fraction(-5), Fraction(37, 10), Fraction(-2, 3), 7):
         assert fmt_value(Fraction(q)) == fmt_rational(q) == str(q)
+
+
+def test_numbers_past_the_int_digit_limit_reach_every_message(tmp_path, capsys):
+    # an Affine offset of 3**-9100, and energies of 10**5000 * (n + 1)
+    div = tmp_path / "div.whdt"
+    div.write_text(
+        "input n; output y; a := 1; i := 0;\n"
+        "while i < n do { a := a / 3; i := i + 1 };\n"
+        "y := real3(A) + a\n"
+    )
+    energy = tmp_path / "energy.whdt"
+    energy.write_text(
+        "input; output y; y := 1; e := 10; i := 0;\n"
+        "while i < 4999 do { e := e * 10; i := i + 1 };\n"
+        "e := e * infinity\n"
+    )
+    tiny = fmt_rational(Fraction(1, 3**9100))
+    for route, shape in (
+        ([], f"Affine({tiny} + 1*primes)"),  # the fast path's offset
+        (["--no-fast-path"], f"SymExpr(Affine(0 + 1*primes) + Rat({tiny}))"),
+    ):
+        code, out, err = run_cli(
+            capsys, "run", str(div), "--input=9100", "--oracle", "A=primes",
+            "--stages", "0..7", *route,
+        )
+        assert code == 0 and err == ""
+        assert shape in out
+    code, out, err = run_cli(
+        capsys, "run", str(energy), "--energy-var", "e", "--stages", "0..7",
+    )
+    assert code == 0 and err == ""
+    assert f"totals grow from {fmt_rational(Fraction(10**5000))}" in out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the argument handling: whatever the flags and corpus headers say,
+# `whiledt` ends with exit code 0, 1 or 2 and no exception escapes.
+
+# cheap corpus programs, each with `run` flags under which it halts
+FUZZ_PROGRAMS = {
+    "floor.whdt": {"input": "3.7"},
+    "decide.whdt": {"input": "7", "oracle": "A=primes"},
+    "compute.whdt": {"input": "7", "oracle": "A=graph:SQ:40"},
+    "limit.whdt": {"input": "5"},
+    "thomson.whdt": {},
+    "inf-elim.whdt": {},
+    "ball.whdt": {},
+}
+CHEAP_PROGRAMS = tuple(FUZZ_PROGRAMS)
+
+# (valid, malformed) values of every `run` flag.  Schedules and step budgets
+# stay small: `decide.whdt --input=3.7` or `compute.whdt` over a finite set
+# never halts, and runs until the budget of every stage is spent.
+FUZZ_FUEL = "2000"
+RUN_FLAG_VALUES = {
+    "input": (("0", "7", "5", "-23/10", "3.7", " 5 "), ("2,3", "", "x&y", "1/0")),
+    "stages": (("0..7", "0..3", "0,3,9", "2..9+doubling:3", "0..5+doubling:1"),
+               ("", "5,2", "-1..9", "0..3+tripling:2", "a..b", "0..", "1.5",
+                "0..7+doubling:")),
+    "fuel": (("1", "50", FUZZ_FUEL), ("0", "-3", "x")),
+    "cmp-fuel": (("1", "10", "4096"), ("0", "x")),
+    "oracle": (("A=primes", "A=evens", "A=squares", "A=finite:1,3,5", "A=finite:",
+                "A=bitfile:{bits}", "A=graph:SQ:40", "A=graph:SQ:-1", "B=evens"),
+               ("A=finite:x", "A=bitfile:{cfg}", "A=bitfile:/nonexistent",
+                "A=graph:SQ:x", "A=graph:NOPE:3", "A=graph:SQ", "A", "A=", "=primes",
+                "A=nope")),
+    "energy-var": (("energy", "y", "u", "nosuch", ""), ()),
+    "clock-var": (("time", "y", "", "a,b"), ()),
+    "cost": (("assign_cost=1/2", "guard_cost=0", "oracle_cost=5"),
+             ("assign_cost=-1", "assign_cost=1/0", "assign_cost", "clock_vars=time",
+              "bogus=1")),
+    "cost-config": (("{cfg}",), ("{bits}", "/nonexistent.cfg")),
+    "report": (("text", "json"), ("xml",)),
+    "no-fast-path": ((None,), ()),  # None: a switch without a value
+    "parallel": ((), (None,)),  # a removed flag
+}
+
+
+def flag_value(key):
+    valid, malformed = RUN_FLAG_VALUES[key]
+    # one value in six is malformed, so that many runs reach the evaluator
+    return st.integers(0, 5).flatmap(
+        lambda i: st.sampled_from(malformed + ("--",) if i == 0 or not valid else valid)
+    )
+
+
+# header keys and values for generated corpus files; a corpus run has the
+# default step budget, so every input and oracle here lets the programs halt
+# (compute.whdt over primes never halts on 5, whose pair codes are composite)
+HEADER_VALUES = {
+    "input": ("7", "0", "x", "", "2,3"),
+    "oracle": ("A = primes", "A = evens", "A = graph:SQ:40", "A = finite:x", "A",
+               "A = nope"),
+    "stages": ("0..7", "0..9+doubling:2", "", "3,1"),
+    "energy-var": ("energy", "y", ""),
+    "clock-var": ("time", "y"),
+    "output": ("y = constant 3", "y = constant 1", "lamp = periodic 2", "y = convergent",
+               "nosuch = constant 1", "y", ""),
+    "supertask": ("good", "bad", "undetermined", ""),
+    "energy-supertask": ("good", "bad", "unclassified"),
+    "bogus": ("1",),
+}
+
+
+def call_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "a.bits").write_text("0101")
+    (d / "costs.cfg").write_text("assign_cost = 0\noracle_cost = 5\n")
+    return {"bits": str(d / "a.bits"), "cfg": str(d / "costs.cfg")}
+
+
+run_flags = st.lists(st.sampled_from(sorted(RUN_FLAG_VALUES)), unique=True, max_size=5).flatmap(
+    lambda keys: st.fixed_dictionaries({k: flag_value(k) for k in keys})
+)
+
+
+def test_dashdash_flag_value_is_a_usage_error(capsys):
+    # Python 3.11's argparse hands `--flag=--` over as [], not as "--"
+    for flag in ("--input", "--fuel", "--clock-var", "--stages", "--cost-config"):
+        code, out, err = run_cli(capsys, "run", corpus_file("floor.whdt"), f"{flag}=--")
+        assert (code, out, err) == (2, "", "error: `--` is not a flag value\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CHEAP_PROGRAMS + ("missing.whdt",)), run_flags)
+def test_fuzzed_run_arguments_exit_cleanly(fuzz_files, program, flags):
+    flags = {"fuel": FUZZ_FUEL, **FUZZ_PROGRAMS.get(program, {}), **flags}
+    argv = [f"--{k}" if v is None else f"--{k}={v.format(**fuzz_files)}"
+            for k, v in flags.items()]
+    assert call_main(["run", corpus_file(program), *argv]) in (0, 1, 2)
+
+
+header_lines = st.lists(
+    st.sampled_from(sorted(HEADER_VALUES)).flatmap(
+        lambda k: st.sampled_from(HEADER_VALUES[k] + ("--",)).map(
+            lambda v: f"# expect-{k}: {v}"
+        )
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(CHEAP_PROGRAMS), header_lines), min_size=1,
+             max_size=3),
+    st.sampled_from(("text", "json")),
+)
+def test_fuzzed_corpus_headers_exit_cleanly(files, report):
+    with tempfile.TemporaryDirectory() as d:
+        for i, (name, header) in enumerate(files):
+            body = [
+                line for line in (CORPUS / name).read_text().splitlines()
+                if not line.startswith("# expect-")
+            ]
+            Path(d, f"{i}-{name}").write_text("\n".join(header + body) + "\n")
+        assert call_main(["corpus", "--dir", d, "--report", report]) in (0, 1, 2)

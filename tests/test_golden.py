@@ -34,19 +34,29 @@ def corpus_report(name):
     return report.to_json()
 
 
-def run_report(stem):
+def run_json(path, flags):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(
-            ["run", str(GOLDEN / f"{stem}.whdt"), *RUNS[stem], "--report", "json"]
-        )
+        code = cli.main(["run", str(path), *flags, "--report", "json"])
     return code, out.getvalue()
+
+
+def run_report(stem):
+    return run_json(GOLDEN / f"{stem}.whdt", RUNS[stem])
 
 
 @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
 def test_corpus_report_matches_golden(name):
     golden = (GOLDEN / f"{Path(name).stem}.json").read_text(encoding="utf-8")
     assert corpus_report(name) == golden
+
+
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+def test_run_with_header_flags_matches_corpus_golden(name):
+    # `whiledt run FILE <header flags>` is the run `whiledt corpus` verifies
+    golden = (GOLDEN / f"{Path(name).stem}.json").read_text(encoding="utf-8")
+    flags, _ = cli.parse_expectations((CORPUS / name).read_text(encoding="utf-8"))
+    assert run_json(CORPUS / name, flags) == (0, golden)
 
 
 @pytest.mark.parametrize("stem", sorted(RUNS))

@@ -26,12 +26,8 @@ def test_cost_model_validation():
 
 
 def test_cost_model_overrides():
-    m = CostModel().with_overrides(
-        [("assign_cost", "1/2"), ("clock_vars", "t,u"), ("energy_var", "E")]
-    )
+    m = CostModel().with_overrides([("assign_cost", "1/2")])
     assert m.assign_cost == Fraction(1, 2)
-    assert m.clock_vars == frozenset({"t", "u"})
-    assert m.energy_var == "E"
     with pytest.raises(KeyError):
         CostModel().with_overrides([("bogus", "1")])
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS, corpus_source, finite_stream, program_sources
 from whiledt import semantics
-from whiledt.cli import parse_expectations, resolve_oracle
+from whiledt.cli import build_arg_parser, load_run, parse_expectations
 from whiledt.exactnum import oracle_const
 from whiledt.oracles import builtin_set, cantor_pair, finite_set, graph_oracle
 from whiledt.semantics import (
@@ -18,7 +18,7 @@ from whiledt.semantics import (
     eval_stage,
     eval_stages,
 )
-from whiledt.syntax import expand_macros, parse, parse_module
+from whiledt.syntax import parse
 
 SMALL_SCHEDULE = list(range(8))
 
@@ -254,12 +254,10 @@ def test_shared_stage_agrees_with_every_stage(source, x):
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.whdt")), ids=lambda p: p.name)
 def test_only_stage_invariant_programs_are_evaluated_once(stage_calls, path):
-    source = path.read_text(encoding="utf-8")
-    exp = parse_expectations(source)
-    defs, main = parse_module(source)
-    program = expand_macros(defs, main)
-    oracles = {name: resolve_oracle(name, src, defs) for name, src in exp["oracles"].items()}
-    seq = eval_stages(program, exp["inputs"], SMALL_SCHEDULE, oracles)
+    flags, _ = parse_expectations(path.read_text(encoding="utf-8"))
+    run = load_run(build_arg_parser().parse_args(["run", str(path), *flags]))
+    program = run["program"]
+    seq = eval_stages(program, run["inputs"], SMALL_SCHEDULE, run["binding"])
     assert all(status.ok for status in seq.statuses)
     # a graph oracle runs its macro through eval_stage too
     calls = sum(args[0] is program for args in stage_calls)
