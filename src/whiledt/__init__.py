@@ -84,8 +84,15 @@ from .semantics import (
     StageSequence,
     eval_stage,
     eval_stages,
-    expand_macros,
 )
-from .syntax import Diagnostic, Program, check, parse, parse_module, pretty_print
+from .syntax import (
+    Diagnostic,
+    Program,
+    check,
+    expand_macros,
+    parse,
+    parse_module,
+    pretty_print,
+)
 
 __version__ = "0.1.0"

@@ -93,7 +93,7 @@ def resolve_oracle(name, src, defs):
 
 
 class Exit(Exception):
-    """An early exit of `whiledt run`: its exit code and message lines."""
+    """An early exit of `whiledt`: its exit code and message lines."""
 
     def __init__(self, code, *lines):
         super().__init__(*lines)
@@ -105,10 +105,6 @@ def load_run(args) -> dict:
     """The one path from `run` arguments to `build_run_report`'s keyword
     arguments: read, parse, expand and check the program, then parse the
     inputs, schedule, cost model and oracle bindings.  Raises Exit."""
-    # Python 3.11's argparse reads an explicit `--flag=--` as [], not "--"
-    if [] in (*args.input, *args.oracle, *args.clock_var, *args.cost, args.stages,
-              args.fuel, args.cmp_fuel, args.energy_var, args.cost_config):
-        raise Exit(2, "`--` is not a flag value")
     path = Path(args.program)
     try:
         source = path.read_text(encoding="utf-8")
@@ -125,18 +121,18 @@ def load_run(args) -> dict:
     try:
         if args.fuel <= 0 or args.cmp_fuel <= 0:
             raise ValueError("--fuel and --cmp-fuel must be positive")
-        inputs = [parse_rational(v) for f in args.input for v in f.split(",")]
+        inputs = [parse_rational(v) for f in args.input or () for v in f.split(",")]
         stages = args.stages
         schedule = parse_schedule(stages) if isinstance(stages, str) else list(stages)
         items = load_cost_config(args.cost_config) if args.cost_config else []
-        for kv in args.cost:
+        for kv in args.cost or ():
             if "=" not in kv:
                 raise ValueError(f"--cost expects KEY=VAL, got {kv!r}")
             items.append(tuple(kv.split("=", 1)))
-        model = CostModel(clock_vars=frozenset(args.clock_var)).with_overrides(items)
+        model = CostModel(clock_vars=frozenset(args.clock_var or ())).with_overrides(items)
         binding = {}
         descr = {}
-        for spec in args.oracle:
+        for spec in args.oracle or ():
             if "=" not in spec:
                 raise ValueError(f"--oracle expects NAME=SRC, got {spec!r}")
             oname, src = (part.strip() for part in spec.split("=", 1))
@@ -190,7 +186,6 @@ def build_run_report(program, name, inputs, schedule, binding, oracle_descr, **r
     supertask = None
     halted = [i for i, st in enumerate(seq.statuses) if st.ok]
     try:
-        totals = [seq.ledgers[i].total for i in halted]
         energy = None
         if seq.energy_values is not None:
             energy = []
@@ -202,13 +197,12 @@ def build_run_report(program, name, inputs, schedule, binding, oracle_descr, **r
                     )
                 energy.append(v)
         supertask = classify_supertask(
-            [seq.schedule[i] for i in halted], totals, energy
+            [seq.schedule[i] for i in halted], [seq.ledgers[i] for i in halted], energy
         )
     except InsufficientStages as e:
         warnings.append(f"supertask: {e}")
     report = Report(
         program=name,
-        schedule=schedule,
         inputs=inputs,
         oracles=oracle_descr,
         seq=seq,
@@ -222,10 +216,6 @@ def build_run_report(program, name, inputs, schedule, binding, oracle_descr, **r
 def cmd_run(args) -> int:
     try:
         report, ok = build_run_report(**load_run(args))
-    except Exit as e:
-        for line in e.lines:
-            print(f"error: {line}", file=sys.stderr)
-        return e.code
     except (EvalError, WhdtError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -279,9 +269,9 @@ def verify_corpus_file(path):
     descriptions (empty means the file passes).
     """
     flags, expected = parse_expectations(Path(path).read_text(encoding="utf-8"))
-    # `--` keeps a path that starts with `-` from reading as a flag
-    args = build_arg_parser().parse_args(["run", *flags, "--", str(path)])
     try:
+        # `--` keeps a path that starts with `-` from reading as a flag
+        args = parse_argv(["run", *flags, "--", str(path)])
         report, ok = build_run_report(**load_run(args))
     except Exit as e:
         return None, list(e.lines)
@@ -356,7 +346,8 @@ def build_arg_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a program over a stage schedule")
     run.add_argument("program", help="path to a .whdt source file")
-    run.add_argument("--input", action="append", default=[], metavar="RAT",
+    # repeatable flags default to None: [] can only be a `--flag=--`
+    run.add_argument("--input", action="append", metavar="RAT",
                      help="input value (exact rational); repeat or comma-separate")
     run.add_argument("--stages", default=DEFAULT_SCHEDULE, metavar="SPEC",
                      help="stage schedule, e.g. 0..15, 0,3,9 or 0..7+doubling:2"
@@ -365,14 +356,14 @@ def build_arg_parser():
                      help="step budget per stage")
     run.add_argument("--cmp-fuel", type=int, default=exactnum.DEFAULT_FUEL,
                      help="digit-query budget per exact comparison")
-    run.add_argument("--oracle", action="append", default=[], metavar="NAME=SRC",
+    run.add_argument("--oracle", action="append", metavar="NAME=SRC",
                      help="bind an oracle: primes|evens|squares|finite:..|"
                           "bitfile:PATH|graph:MACRO:BOUND")
     run.add_argument("--energy-var", metavar="NAME",
                      help="program variable watched as physical energy")
-    run.add_argument("--clock-var", action="append", default=[], metavar="NAME",
+    run.add_argument("--clock-var", action="append", metavar="NAME",
                      help="assignment to NAME costs nothing (pure time passage)")
-    run.add_argument("--cost", action="append", default=[], metavar="KEY=VAL",
+    run.add_argument("--cost", action="append", metavar="KEY=VAL",
                      help="cost model override (assign_cost, guard_cost, oracle_cost)")
     run.add_argument("--cost-config", metavar="PATH",
                      help="key = value file with cost model settings")
@@ -387,13 +378,26 @@ def build_arg_parser():
     return parser
 
 
+def parse_argv(argv):
+    """Parsed `whiledt` arguments.  Raises Exit for a `--flag=--`, which
+    Python 3.11's argparse reads as an empty list where a value should be."""
+    args = build_arg_parser().parse_args(argv)
+    for value in vars(args).values():
+        if value == [] or isinstance(value, list) and [] in value:
+            raise Exit(2, "`--` is not a flag value")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_argv(argv)
+        return args.func(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    return args.func(args)
+    except Exit as e:
+        for line in e.lines:
+            print(f"error: {line}", file=sys.stderr)
+        return e.code
 
 
 if __name__ == "__main__":

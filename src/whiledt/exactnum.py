@@ -101,13 +101,10 @@ class OracleReal:
             self._psums.append(self._psums[-1] + Fraction(d, 3**j))
         return self._digits[i]
 
-    def prefix_sum(self, m, fuel=None):
+    def prefix_sum(self, m, fuel):
         """Exact value of the first m digit terms, read under `fuel`."""
         if m > 0:
-            if fuel is None:
-                self.digit(m - 1)
-            else:
-                fuel.read(self, m)
+            fuel.read(self, m)
         return self._psums[m]
 
     def __repr__(self):
@@ -148,35 +145,9 @@ class Interval:
 
 
 class ExactReal:
-    """Base class of the symbolic values; use the module functions or
-    operators to combine them with each other and with Fractions."""
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
+    """Base class of the symbolic values.  They are combined with each
+    other and with Fractions by the module functions `add`, `sub`, `mul`,
+    `div` and `neg`."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,8 +201,6 @@ def oracle_const(stream: OracleReal) -> Affine:
 def _coerce(x):
     if type(x) is Fraction or isinstance(x, ExactReal):
         return x
-    if isinstance(x, (int, Fraction, str)):
-        return exact(x)
     raise TypeError(f"cannot use {type(x).__name__} as ExactReal")
 
 
@@ -364,7 +333,7 @@ def _depth_enclosures(x, fuel):
 
 
 def _enclosures(x, fuel):
-    """Shrinking enclosures of x for sign and floor searches.
+    """Shrinking enclosures of x for sign, floor and width searches.
 
     Affine values advance one digit at a time, so decoding programs issue
     exactly the digits they need: the floor of 3**k times a stream reads
@@ -387,7 +356,7 @@ def _affine_enclosure(x, m, fuel):
     return Interval(a, b) if x.coeff > 0 else Interval(b, a)
 
 
-def _enclose(x, j, fuel=None) -> Interval:
+def _enclose(x, j, fuel) -> Interval:
     """Raw enclosure at refinement depth j (nested, shrinking in j)."""
     if type(x) is Fraction:
         return Interval(x, x)
@@ -421,27 +390,18 @@ def _combine(op, a, b):
     raise ValueError(f"unknown operator {op!r}")
 
 
-def refine(x, k, fuel=None) -> Interval:
-    """Enclosure of width at most 3**-k, nested as k grows."""
+def refine(x, k, fuel_limit=DEFAULT_FUEL, recorder=None) -> Interval:
+    """Enclosure of width at most 3**-k, nested as k grows; raises
+    UnresolvedComparison when the budget runs out first."""
     if k < 0:
         raise ValueError("precision must be >= 0")
-    x = _coerce(x)
-    if type(x) is Fraction:
-        return Interval(x, x)
     target = Fraction(1, 3**k)
-    if isinstance(x, Affine):
-        # Smallest m with |coeff| * tail_bound(m) <= 3**-k, found exactly.
-        m = max(0, k)
-        c = abs(x.coeff)
-        while c * tail_bound(m) > target:
-            m += 1
-        return _affine_enclosure(x, m, fuel)
-    j = k
-    while True:
-        iv = _enclose(x, j, fuel)
-        if iv.width <= target:
-            return iv
-        j += 1
+    return _decide(
+        _enclosures(_coerce(x), Fuel(fuel_limit, recorder)),
+        lambda _, iv: iv if iv.width <= target else None,
+        f"enclosure of width 3**-{k}",
+        fuel_limit,
+    )
 
 
 def _sign(_, iv):

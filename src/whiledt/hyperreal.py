@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import trend
 from .errors import InsufficientStages
 
-MIN_STAGES = 8
 UNBOUNDED_ABS_THRESHOLD = Fraction(10**6)
 MAX_PERIOD = 8
 
@@ -66,9 +65,9 @@ def classify_value(seq, var):
     """Decision ladder: constant tail, exact period, unbounded growth,
     Cauchy trend, else irregular."""
     pairs = seq.halted_pairs(var)
-    if len(pairs) < MIN_STAGES:
+    if len(pairs) < trend.MIN_STAGES:
         raise InsufficientStages(
-            f"need at least {MIN_STAGES} halted stages, got {len(pairs)}"
+            f"need at least {trend.MIN_STAGES} halted stages, got {len(pairs)}"
         )
     ns = [n for n, _ in pairs]
     vs = [v for _, v in pairs]

@@ -126,7 +126,6 @@ def _supertask_dict(st):
 @dataclass
 class Report:
     program: str
-    schedule: list
     inputs: list  # Fractions
     oracles: dict  # name -> source descriptor
     seq: object  # StageSequence

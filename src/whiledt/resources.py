@@ -19,8 +19,6 @@ from .exactnum import fmt_rational
 
 GOOD, BAD, UNDETERMINED = "good", "bad", "undetermined"
 
-MIN_STAGES = 8
-
 # the CostModel fields that `--cost` and `--cost-config` set
 PRICES = ("assign_cost", "guard_cost", "oracle_cost")
 
@@ -81,8 +79,8 @@ class Meter:
     overhead to an integer increment.
     """
 
-    def __init__(self, model=None):
-        self.model = model or CostModel()
+    def __init__(self, model):
+        self.model = model
         self.assigns = 0
         self.guards = 0
         self.oracle_queries = 0
@@ -131,9 +129,9 @@ def classify_cost_sequence(schedule, values) -> SupertaskClass:
 
     Heuristic by construction: only the observed schedule is consulted.
     """
-    if len(values) < MIN_STAGES:
+    if len(values) < trend.MIN_STAGES:
         raise InsufficientStages(
-            f"need at least {MIN_STAGES} stages, got {len(values)}"
+            f"need at least {trend.MIN_STAGES} stages, got {len(values)}"
         )
     ns = list(schedule)
     vs = [Fraction(v) for v in values]
@@ -153,12 +151,9 @@ def classify_cost_sequence(schedule, values) -> SupertaskClass:
 
 
 def classify_supertask(schedule, ledgers, energy_values=None) -> SupertaskVerdicts:
-    """Classify metered totals and, when given, the energy-variable view."""
-    totals = [
-        ledger.total if isinstance(ledger, ResourceLedger) else Fraction(ledger)
-        for ledger in ledgers
-    ]
-    metered = classify_cost_sequence(schedule, totals)
+    """Classify the ledgers' metered totals and, when given, the
+    energy-variable view."""
+    metered = classify_cost_sequence(schedule, [ledger.total for ledger in ledgers])
     energy = None
     if energy_values is not None:
         energy = classify_cost_sequence(schedule, energy_values)

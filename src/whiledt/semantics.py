@@ -23,7 +23,6 @@ from .errors import (
 from .exactnum import QueryRecorder, value_repr
 from .oracles import cantor_pair
 from .resources import CostModel, Meter, ResourceLedger
-from .syntax import expand_macros  # re-exported; expansion is purely syntactic
 
 __all__ = [
     "StageContext",
@@ -32,7 +31,6 @@ __all__ = [
     "StageSequence",
     "eval_stage",
     "eval_stages",
-    "expand_macros",
     "DEFAULT_SCHEDULE",
 ]
 
@@ -51,7 +49,7 @@ DEFAULT_SCHEDULE = tuple(range(16)) + (31, 63, 127)
 class StageContext:
     n: int
     dt: Fraction
-    infinity: int
+    infinity: Fraction
     step_fuel: int = DEFAULT_STEP_FUEL
     cmp_fuel: int = exactnum.DEFAULT_FUEL
     cost_model: CostModel = field(default_factory=CostModel)
@@ -61,7 +59,7 @@ class StageContext:
     def for_stage(cls, n, **kw):
         if n < 0:
             raise ValueError("stage index must be >= 0")
-        return cls(n=n, dt=Fraction(1, n + 1), infinity=n + 1, **kw)
+        return cls(n=n, dt=Fraction(1, n + 1), infinity=Fraction(n + 1), **kw)
 
 
 @dataclass(frozen=True)
@@ -74,10 +72,6 @@ class HaltStatus:
     @property
     def ok(self):
         return self.kind == "halted"
-
-
-def _halted():
-    return HaltStatus("halted")
 
 
 @dataclass
@@ -109,9 +103,6 @@ class StageSequence:
             if st.ok
         ]
 
-    def halted_stages(self):
-        return [n for n, st in zip(self.schedule, self.statuses) if st.ok]
-
 
 class _FuelOut(Exception):
     def __init__(self, loc):
@@ -127,8 +118,6 @@ class _Run:
         self.steps = 0
         self.loop_iterations = {}
         self.while_stack = []
-        self._consts = {}
-        self.infinity_value = Fraction(ctx.infinity)
         missing = sorted(program.oracles - set(self.oracles))
         if missing:
             raise UnknownOracle(
@@ -141,11 +130,6 @@ class _Run:
             raise _FuelOut(
                 self.while_stack[-1] if self.while_stack else _loc_str(loc)
             )
-
-    def oracle_const(self, name):
-        if name not in self._consts:
-            self._consts[name] = exactnum.oracle_const(self.oracles[name].real())
-        return self._consts[name]
 
 
 def _loc_str(loc):
@@ -168,7 +152,7 @@ def eval_stage(program, inputs, ctx, oracles=None) -> StageResult:
         run = _Run(ctx, oracles, program)
         run.meter.note_store(len(store))
         _exec(program.body, store, run)
-        status = _halted()
+        status = HaltStatus("halted")
     except _FuelOut as e:
         status = HaltStatus("fuel-exhausted", location=e.loc)
     except EvalError as e:
@@ -189,14 +173,13 @@ def eval_stages(
     schedule,
     oracles=None,
     *,
-    step_fuel=DEFAULT_STEP_FUEL,
-    cmp_fuel=exactnum.DEFAULT_FUEL,
-    cost_model=None,
-    use_fast_path=True,
     energy_var=None,
+    **settings,
 ) -> StageSequence:
     """Run every stage of the schedule; per-stage errors are recorded in
-    place and do not abort the other stages.
+    place and do not abort the other stages.  `settings` are the
+    StageContext fields `step_fuel`, `cmp_fuel`, `cost_model` and
+    `use_fast_path`, passed to every stage.
 
     A program that reads no `dt`, `infinity` or oracle (and has no symbolic
     input) computes the same thing at every stage, so it is evaluated once
@@ -206,7 +189,6 @@ def eval_stages(
         raise ValueError("schedule must be nonempty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    model = cost_model or CostModel()
 
     invariant = not any(
         isinstance(v, exactnum.ExactReal) for v in inputs
@@ -218,13 +200,7 @@ def eval_stages(
         if invariant and results:
             results.append(results[0])
             continue
-        ctx = StageContext.for_stage(
-            n,
-            step_fuel=step_fuel,
-            cmp_fuel=cmp_fuel,
-            cost_model=model,
-            use_fast_path=use_fast_path,
-        )
+        ctx = StageContext.for_stage(n, **settings)
         results.append(eval_stage(program, inputs, ctx, oracles))
 
     outputs = {
@@ -302,9 +278,9 @@ def _aeval(expr, store, run):
     if isinstance(expr, syntax.Dt):
         return run.ctx.dt
     if isinstance(expr, syntax.Infinity):
-        return run.infinity_value
+        return run.ctx.infinity
     if isinstance(expr, syntax.OracleRealConst):
-        return run.oracle_const(expr.oracle)
+        return exactnum.oracle_const(run.oracles[expr.oracle].real())
     if isinstance(expr, syntax.Neg):
         return exactnum.neg(_aeval(expr.expr, store, run))
     if isinstance(expr, syntax.BinOp):

@@ -8,6 +8,8 @@ certify behavior at the limit.  The tests are deterministic and exact
 from fractions import Fraction
 
 TAIL_WINDOW = 6
+# fewest stages a verdict is drawn from
+MIN_STAGES = 8
 
 
 def gaps(vs):

@@ -435,9 +435,14 @@ run_flags = st.lists(st.sampled_from(sorted(RUN_FLAG_VALUES)), unique=True, max_
 
 def test_dashdash_flag_value_is_a_usage_error(capsys):
     # Python 3.11's argparse hands `--flag=--` over as [], not as "--"
-    for flag in ("--input", "--fuel", "--clock-var", "--stages", "--cost-config"):
-        code, out, err = run_cli(capsys, "run", corpus_file("floor.whdt"), f"{flag}=--")
-        assert (code, out, err) == (2, "", "error: `--` is not a flag value\n")
+    runs = [
+        ("run", corpus_file("floor.whdt"), f"{flag}=--")
+        for flag in ("--input", "--fuel", "--clock-var", "--stages", "--cost-config")
+    ]
+    runs += [("run", corpus_file("thomson.whdt"), "--report=--"), ("corpus", "--dir=--")]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: `--` is not a flag value\n"), argv
 
 
 @settings(max_examples=150, deadline=None)

@@ -356,8 +356,14 @@ def _exactly_one():
             "divisor sign unresolved after 10 digit queries;"
             " last enclosure [0, 1/13122]",
         ),
+        # 3**-30 needs 31 digits; the tenth is the last the fuel allows
+        (
+            lambda r: refine(r, 30, fuel_limit=10),
+            "enclosure of width 3**-30 unresolved after 10 digit queries;"
+            " last enclosure [1, 39367/39366]",
+        ),
     ],
-    ids=["compare", "cmp_holds", "floor-affine", "floor-general", "div"],
+    ids=["compare", "cmp_holds", "floor-affine", "floor-general", "div", "refine"],
 )
 def test_refusal_messages(call, message):
     with pytest.raises(UnresolvedComparison) as exc:
@@ -408,6 +414,9 @@ def _check_against_truth(a, b, affine):
     assert got in (None, LT if va < vb else GT if va > vb else EQ)
     got = _resolved(lambda: floor_value(a, PROPERTY_FUEL))
     assert got in (None, Fraction(math.floor(va)))
+    for k in (0, 3, 8):
+        got = _resolved(lambda: refine(a, k, PROPERTY_FUEL))
+        assert got is None or va in got and got.width <= Fraction(1, 3**k)
     if b == exact(0):
         return
     got = _resolved(lambda: div(a, b, affine, PROPERTY_FUEL))
