@@ -11,6 +11,7 @@ All numeric flag values are exact rationals (`3.7`, `-2/3`).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -337,6 +338,7 @@ def cmd_corpus(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def build_arg_parser():
     parser = argparse.ArgumentParser(
         prog="whiledt",

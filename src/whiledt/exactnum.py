@@ -337,10 +337,13 @@ def _enclosures(x, fuel):
 
     Affine values advance one digit at a time, so decoding programs issue
     exactly the digits they need: the floor of 3**k times a stream reads
-    exactly the digits d_0..d_k.  General DAGs use the depth schedule.
+    exactly the digits d_0..d_k.  They start at the digits the stage
+    already holds, which cost no fuel: the enclosures are nested, so a
+    verdict that holds with fewer digits holds with those.  General DAGs
+    use the depth schedule.
     """
     if isinstance(x, Affine):
-        m = 0
+        m = fuel.recorder.prefix.get(x.stream.name, 0)
         while True:
             yield m, _affine_enclosure(x, m, fuel)
             m += 1

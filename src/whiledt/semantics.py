@@ -6,15 +6,23 @@ standard elimination loop (t from 0 to 1 in dt steps, counting turns)
 produces exactly the `infinity` value of the same stage.  Each stage is a
 total, deterministic evaluation: a step-fuel budget turns nontermination
 into an explicit FuelExhausted halt status rather than a hang.
+
+Inside a stage an integral rational is a Python `int`, so counters,
+literals, `infinity`, floors and `J` cost int arithmetic; any other
+rational is a `Fraction`.  The ints stay inside: a StageResult's store,
+and so every output and energy value, holds Fractions and symbolic values.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactnum, syntax
 from .errors import (
+    DivisionByZero,
     EvalError,
     NotHypernatural,
     UnboundVariable,
@@ -112,6 +120,8 @@ class _FuelOut(Exception):
 class _Run:
     def __init__(self, ctx, oracles, program):
         self.ctx = ctx
+        self.dt = _rat(ctx.dt)
+        self.infinity = _rat(ctx.infinity)
         self.oracles = oracles or {}
         self.meter = Meter(ctx.cost_model)
         self.recorder = QueryRecorder()
@@ -145,13 +155,13 @@ def eval_stage(program, inputs, ctx, oracles=None) -> StageResult:
     store = {}
     for name, value in zip(program.inputs, inputs):
         if not isinstance(value, exactnum.ExactReal):
-            value = exactnum.exact(value)
+            value = _rat(exactnum.exact(value))
         store[name] = value
     run = None
     try:
         run = _Run(ctx, oracles, program)
         run.meter.note_store(len(store))
-        _exec(program.body, store, run)
+        _EXEC[type(program.body)](program.body, store, run)
         status = HaltStatus("halted")
     except _FuelOut as e:
         status = HaltStatus("fuel-exhausted", location=e.loc)
@@ -160,7 +170,7 @@ def eval_stage(program, inputs, ctx, oracles=None) -> StageResult:
     if run:
         run.meter.charge_oracle(run.recorder.count)
     return StageResult(
-        store=store,
+        store={name: _fraction(value) for name, value in store.items()},
         status=status,
         ledger=run.meter.ledger() if run else ResourceLedger(),
         loop_iterations=dict(run.loop_iterations) if run else {},
@@ -225,136 +235,199 @@ def eval_stages(
 
 # ---------------------------------------------------------------------------
 # Big-step execution
+#
+# Each node runs through the handler its type maps to in _EXEC, _AEVAL or
+# _BEVAL.  Two rationals are combined with Python's operators; any other
+# pairing goes to the exactnum functions, with its ints made Fractions.
+
+_RATIONAL = (int, Fraction)
+_RAT_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# exactnum's functions by name, looked up at each call so that a wrapper
+# put on the module attribute sees the call
+_SYM_ARITH = {"+": "add", "-": "sub", "*": "mul"}
 
 
-def _exec(cmd, store, run):
-    if isinstance(cmd, syntax.Skip):
-        return
-    if isinstance(cmd, syntax.Assign):
-        run.tick(cmd.loc)
-        value = _aeval(cmd.expr, store, run)
-        store[cmd.var] = value
-        run.meter.charge_assign(cmd.var)
-        run.meter.note_store(len(store))
-        return
-    if isinstance(cmd, syntax.Block):
-        for s in cmd.stmts:
-            _exec(s, store, run)
-        return
-    if isinstance(cmd, syntax.If):
-        run.tick(cmd.loc)
-        run.meter.charge_guard()
-        if _beval(cmd.cond, store, run):
-            _exec(cmd.then, store, run)
+def _rat(value):
+    """An integral Fraction as an int; any other value as it is."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _fraction(value):
+    """An int as a Fraction; any other value as it is."""
+    return Fraction(value) if type(value) is int else value
+
+
+def _assign(cmd, store, run):
+    run.tick(cmd.loc)
+    store[cmd.var] = _AEVAL[type(cmd.expr)](cmd.expr, store, run)
+    run.meter.charge_assign(cmd.var)
+    run.meter.note_store(len(store))
+
+
+def _block(cmd, store, run):
+    for s in cmd.stmts:
+        _EXEC[type(s)](s, store, run)
+
+
+def _if(cmd, store, run):
+    run.tick(cmd.loc)
+    run.meter.charge_guard()
+    cond = cmd.cond
+    branch = cmd.then if _BEVAL[type(cond)](cond, store, run) else cmd.orelse
+    _EXEC[type(branch)](branch, store, run)
+
+
+def _while(cmd, store, run):
+    loc = _loc_str(cmd.loc)
+    iterations = run.loop_iterations
+    iterations.setdefault(loc, 0)
+    run.while_stack.append(loc)
+    cond, body = cmd.cond, cmd.body
+    test, step = _BEVAL[type(cond)], _EXEC[type(body)]
+    try:
+        while True:
+            run.tick(cmd.loc)
+            run.meter.charge_guard()
+            if not test(cond, store, run):
+                break
+            iterations[loc] += 1
+            step(body, store, run)
+    finally:
+        run.while_stack.pop()
+
+
+def _literal(expr, store, run):
+    value = expr.value
+    return value.numerator if value.denominator == 1 else value
+
+
+def _var(expr, store, run):
+    try:
+        return store[expr.name]
+    except KeyError:
+        raise UnboundVariable(f"variable {expr.name!r} read before assignment")
+
+
+def _neg(expr, store, run):
+    a = _AEVAL[type(expr.expr)](expr.expr, store, run)
+    return -a if type(a) in _RATIONAL else exactnum.neg(a)
+
+
+def _binop(expr, store, run):
+    lhs, rhs, op = expr.lhs, expr.rhs, expr.op
+    a = _AEVAL[type(lhs)](lhs, store, run)
+    b = _AEVAL[type(rhs)](rhs, store, run)
+    if type(a) is int and type(b) is int and op != "/":
+        return _RAT_ARITH[op](a, b)
+    if type(a) in _RATIONAL and type(b) in _RATIONAL:
+        if op != "/":
+            q = _RAT_ARITH[op](a, b)
+        elif b == 0:
+            raise DivisionByZero("division by zero")
         else:
-            _exec(cmd.orelse, store, run)
-        return
-    if isinstance(cmd, syntax.While):
-        loc = _loc_str(cmd.loc)
-        run.loop_iterations.setdefault(loc, 0)
-        run.while_stack.append(loc)
-        try:
-            while True:
-                run.tick(cmd.loc)
-                run.meter.charge_guard()
-                if not _beval(cmd.cond, store, run):
-                    break
-                run.loop_iterations[loc] += 1
-                _exec(cmd.body, store, run)
-        finally:
-            run.while_stack.pop()
-        return
-    raise TypeError(f"not a command: {cmd!r}")
+            q = Fraction(a, b) if type(a) is int and type(b) is int else a / b
+        # q is a Fraction: at least one operand is, or it is a quotient
+        return q.numerator if q.denominator == 1 else q
+    a, b, affine = _fraction(a), _fraction(b), run.ctx.use_fast_path
+    if op != "/":
+        return _rat(getattr(exactnum, _SYM_ARITH[op])(a, b, affine=affine))
+    return _rat(
+        exactnum.div(
+            a, b, affine=affine, fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder
+        )
+    )
 
 
-def _aeval(expr, store, run):
-    if isinstance(expr, syntax.RationalLiteral):
-        return expr.value
-    if isinstance(expr, syntax.Var):
-        try:
-            return store[expr.name]
-        except KeyError:
-            raise UnboundVariable(f"variable {expr.name!r} read before assignment")
-    if isinstance(expr, syntax.Dt):
-        return run.ctx.dt
-    if isinstance(expr, syntax.Infinity):
-        return run.ctx.infinity
-    if isinstance(expr, syntax.OracleRealConst):
-        return exactnum.oracle_const(run.oracles[expr.oracle].real())
-    if isinstance(expr, syntax.Neg):
-        return exactnum.neg(_aeval(expr.expr, store, run))
-    if isinstance(expr, syntax.BinOp):
-        lhs = _aeval(expr.lhs, store, run)
-        rhs = _aeval(expr.rhs, store, run)
-        affine = run.ctx.use_fast_path
-        if expr.op == "+":
-            return exactnum.add(lhs, rhs, affine=affine)
-        if expr.op == "-":
-            return exactnum.sub(lhs, rhs, affine=affine)
-        if expr.op == "*":
-            return exactnum.mul(lhs, rhs, affine=affine)
-        if expr.op == "/":
-            return exactnum.div(
-                lhs,
-                rhs,
-                affine=affine,
-                fuel_limit=run.ctx.cmp_fuel,
-                recorder=run.recorder,
-            )
-        raise ValueError(f"unknown operator {expr.op!r}")
-    if isinstance(expr, syntax.Floor):
-        return exactnum.floor_value(
-            _aeval(expr.expr, store, run),
-            fuel_limit=run.ctx.cmp_fuel,
-            recorder=run.recorder,
-        )
-    if isinstance(expr, syntax.Pair):
-        x = _nat(_aeval(expr.first, store, run), "first pairing argument")
-        y = _nat(_aeval(expr.second, store, run), "second pairing argument")
-        return Fraction(cantor_pair(x, y))
-    if isinstance(expr, syntax.Call):
-        raise EvalError(
-            f"macro call {expr.name!r} survived to evaluation; expand macros first"
-        )
-    raise TypeError(f"not an arithmetic expression: {expr!r}")
+def _floor(expr, store, run):
+    a = _AEVAL[type(expr.expr)](expr.expr, store, run)
+    if type(a) in _RATIONAL:
+        return math.floor(a)
+    return _rat(
+        exactnum.floor_value(a, fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder)
+    )
+
+
+def _pair(expr, store, run):
+    first, second = expr.first, expr.second
+    x = _nat(_AEVAL[type(first)](first, store, run), "first pairing argument")
+    y = _nat(_AEVAL[type(second)](second, store, run), "second pairing argument")
+    return cantor_pair(x, y)
+
+
+def _call(expr, store, run):
+    raise EvalError(
+        f"macro call {expr.name!r} survived to evaluation; expand macros first"
+    )
 
 
 def _nat(value, what):
-    if not isinstance(value, Fraction) or value.denominator != 1 or value < 0:
+    if type(value) is not int or value < 0:
         raise NotHypernatural(
-            f"{what} must be a hypernatural, got {value_repr(value)}"
+            f"{what} must be a hypernatural, got {value_repr(_fraction(value))}"
         )
-    return int(value)
+    return value
 
 
 def _cmp(op, lhs, rhs, run):
-    if type(lhs) is Fraction and type(rhs) is Fraction:
+    if type(lhs) in _RATIONAL and type(rhs) in _RATIONAL:
         return exactnum.RAT_CMP[op](lhs, rhs)
+    lhs, rhs = _fraction(lhs), _fraction(rhs)
     return exactnum.cmp_holds(
         op, lhs, rhs, fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder
     )
 
 
-def _beval(b, store, run):
-    if isinstance(b, syntax.Cmp):
-        return _cmp(b.op, _aeval(b.lhs, store, run), _aeval(b.rhs, store, run), run)
-    if isinstance(b, syntax.ChainedCmp):
-        # mid is evaluated once; the left conjunct short-circuits.
-        lo = _aeval(b.lo, store, run)
-        mid = _aeval(b.mid, store, run)
-        if not _cmp(b.op1, lo, mid, run):
-            return False
-        hi = _aeval(b.hi, store, run)
-        return _cmp(b.op2, mid, hi, run)
-    if isinstance(b, syntax.MemberOf):
-        z = _nat(_aeval(b.expr, store, run), "membership query")
-        oracle = run.oracles[b.oracle]
-        run.recorder.record_member((oracle.name, z))
-        return bool(oracle.member(z))
-    if isinstance(b, syntax.Not):
-        return not _beval(b.expr, store, run)
-    if isinstance(b, syntax.And):
-        return _beval(b.lhs, store, run) and _beval(b.rhs, store, run)
-    if isinstance(b, syntax.Or):
-        return _beval(b.lhs, store, run) or _beval(b.rhs, store, run)
-    raise TypeError(f"not a boolean expression: {b!r}")
+def _compare(b, store, run):
+    lhs = _AEVAL[type(b.lhs)](b.lhs, store, run)
+    return _cmp(b.op, lhs, _AEVAL[type(b.rhs)](b.rhs, store, run), run)
+
+
+def _chained(b, store, run):
+    # mid is evaluated once; the left conjunct short-circuits.
+    lo, mid, hi = b.lo, b.mid, b.hi
+    m = _AEVAL[type(mid)](mid, store, run)
+    if not _cmp(b.op1, _AEVAL[type(lo)](lo, store, run), m, run):
+        return False
+    return _cmp(b.op2, m, _AEVAL[type(hi)](hi, store, run), run)
+
+
+def _member(b, store, run):
+    z = _nat(_AEVAL[type(b.expr)](b.expr, store, run), "membership query")
+    oracle = run.oracles[b.oracle]
+    run.recorder.record_member((oracle.name, z))
+    return bool(oracle.member(z))
+
+
+_EXEC = {
+    syntax.Skip: lambda cmd, store, run: None,
+    syntax.Assign: _assign,
+    syntax.Block: _block,
+    syntax.If: _if,
+    syntax.While: _while,
+}
+_AEVAL = {
+    syntax.RationalLiteral: _literal,
+    syntax.Var: _var,
+    syntax.Dt: lambda expr, store, run: run.dt,
+    syntax.Infinity: lambda expr, store, run: run.infinity,
+    syntax.OracleRealConst: lambda expr, store, run: exactnum.oracle_const(
+        run.oracles[expr.oracle].real()
+    ),
+    syntax.Neg: _neg,
+    syntax.BinOp: _binop,
+    syntax.Floor: _floor,
+    syntax.Pair: _pair,
+    syntax.Call: _call,
+}
+_BEVAL = {
+    syntax.Cmp: _compare,
+    syntax.ChainedCmp: _chained,
+    syntax.MemberOf: _member,
+    syntax.Not: lambda b, store, run: not _BEVAL[type(b.expr)](b.expr, store, run),
+    syntax.And: lambda b, store, run: _BEVAL[type(b.lhs)](b.lhs, store, run)
+    and _BEVAL[type(b.rhs)](b.rhs, store, run),
+    syntax.Or: lambda b, store, run: _BEVAL[type(b.lhs)](b.lhs, store, run)
+    or _BEVAL[type(b.rhs)](b.rhs, store, run),
+}

@@ -479,3 +479,12 @@ def test_fuzzed_corpus_headers_exit_cleanly(files, report):
             ]
             Path(d, f"{i}-{name}").write_text("\n".join(header + body) + "\n")
         assert call_main(["corpus", "--dir", d, "--report", report]) in (0, 1, 2)
+
+
+def test_repeatable_flags_do_not_leak_between_calls(capsys):
+    # one argument parser serves every call in a process
+    floor = corpus_file("floor.whdt")
+    assert run_cli(capsys, "run", floor, "--input=3")[0] == 0
+    code, _, err = run_cli(capsys, "run", floor)
+    assert code == 2
+    assert "program takes 1 input(s), got 0" in err

@@ -15,6 +15,7 @@ from whiledt.exactnum import (
     GT,
     LT,
     RAT_CMP,
+    Affine,
     Fuel,
     QueryRecorder,
     add,
@@ -459,3 +460,38 @@ def test_rationals_are_plain_fractions(a, b, affine):
     assert compare(a, b) == (LT if a < b else GT if a > b else EQ)
     for op, holds in RAT_CMP.items():
         assert cmp_holds(op, a, b) is holds(a, b)
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), max_size=12),
+    _SMALL.filter(bool),
+    _SMALL,
+    _SMALL,
+    st.sampled_from(sorted(RAT_CMP)),
+    st.integers(0, 20),
+)
+def test_affine_search_starts_at_the_digits_the_stage_holds(
+    digits, coeff, offset, c, op, p
+):
+    # A stage that already holds p digits reads them again for free, and
+    # nested enclosures keep every verdict: the answer is the true one, and
+    # the stage ends up holding max(p, what a fresh stage reads) digits
+    x = Affine(offset, coeff, finite_stream("A", digits))
+    truth = true_value(x)
+    calls = (
+        (lambda rec: floor_value(x, 40, rec), Fraction(math.floor(truth))),
+        (lambda rec: cmp_holds(op, x, c, 40, rec), RAT_CMP[op](truth, c)),
+    )
+    for call, expected in calls:
+        fresh, held = QueryRecorder(), QueryRecorder()
+        want = _resolved(lambda: call(fresh))
+        x.stream.prefix_sum(p, Fuel(p, held))
+        got = _resolved(lambda: call(held))
+        assert got in (None, expected)
+        if want is not None:
+            assert got == want == expected
+            assert held.count == max(p, fresh.count)

@@ -1,9 +1,10 @@
 """Reports pinned byte for byte against files under tests/golden/.
 
 The golden files hold the JSON report of every corpus program (as
-`whiledt corpus` verifies it) and of two small programs whose outputs
-print exact values in their symbolic and error forms.  A change that
-moves a single byte of a report fails here.
+`whiledt corpus` verifies it) and of small programs whose outputs print
+exact values in their symbolic and error forms, and whose integral and
+non-integral rationals meet in division, floor, `J`, `infinity` and
+comparisons.  A change that moves a single byte of a report fails here.
 
 To rewrite the files after an intended report change:
     PYTHONPATH=src python tests/test_golden.py
@@ -22,10 +23,14 @@ from whiledt import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS_PROGRAMS = sorted(p.name for p in CORPUS.glob("*.whdt"))
 
-# golden file stem -> `whiledt run` arguments after the program path
+# golden file stem -> (`whiledt run` arguments after the program path,
+# exit code)
 RUNS = {
-    "symbolic": ["--oracle", "A=primes", "--no-fast-path", "--stages", "0..7"],
-    "not_hypernatural": ["--input", "1/2", "--stages", "0..7"],
+    "symbolic": (["--oracle", "A=primes", "--no-fast-path", "--stages", "0..7"], 0),
+    "not_hypernatural": (["--input", "1/2", "--stages", "0..7"], 1),
+    "int_arith": (["--input", "3,10/3", "--stages", "0..7"], 0),
+    "pair_negative": (["--input", "0", "--stages", "0..7"], 1),
+    "div_zero": (["--input", "3", "--stages", "0..7"], 1),
 }
 
 
@@ -42,7 +47,7 @@ def run_json(path, flags):
 
 
 def run_report(stem):
-    return run_json(GOLDEN / f"{stem}.whdt", RUNS[stem])
+    return run_json(GOLDEN / f"{stem}.whdt", RUNS[stem][0])
 
 
 @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
@@ -64,7 +69,7 @@ def test_run_report_matches_golden(stem):
     golden = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     code, out = run_report(stem)
     assert out == golden
-    assert code == (0 if stem == "symbolic" else 1)
+    assert code == RUNS[stem][1]
 
 
 def test_golden_reports_show_exact_values_in_both_forms():
@@ -73,6 +78,10 @@ def test_golden_reports_show_exact_values_in_both_forms():
     ).read_text(encoding="utf-8")
     assert "must be a hypernatural, got Rat(1/2)" in (
         GOLDEN / "not_hypernatural.json"
+    ).read_text(encoding="utf-8")
+    # an integral -1 prints as a rational too
+    assert "must be a hypernatural, got Rat(-1)" in (
+        GOLDEN / "pair_negative.json"
     ).read_text(encoding="utf-8")
 
 

@@ -28,13 +28,60 @@ def run_once(src, inputs, n=0, oracles=None, **ctx_kw):
     return eval_stage(parse(src), [Fraction(v) for v in inputs], ctx, oracles)
 
 
+def fractions_only(values):
+    return all(type(v) is Fraction for v in values)
+
+
 def test_store_holds_only_fractions_on_rational_programs():
+    # integral rationals are ints inside a stage, and Fractions once out
     program = parse(corpus_source("floor.whdt"))
     for x in (Fraction(37, 10), Fraction(-23, 10), Fraction(0)):
         for n in (0, 3):
             res = eval_stage(program, [x], StageContext.for_stage(n))
             assert res.status.ok
-            assert res.store and all(type(v) is Fraction for v in res.store.values())
+            assert res.store and fractions_only(res.store.values())
+    # dt loops; at stage 0, dt = 1 is integral too
+    for name in ("thomson.whdt", "inf-elim.whdt", "ball.whdt"):
+        program = parse(corpus_source(name))
+        for n in (0, 1, 7, 31):
+            res = eval_stage(program, [], StageContext.for_stage(n))
+            assert res.status.ok
+            assert res.store and fractions_only(res.store.values()), (name, n)
+    seq = eval_stages(
+        parse(corpus_source("ball.whdt")), [], SMALL_SCHEDULE, energy_var="energy"
+    )
+    assert fractions_only(seq.energy_values)
+    assert fractions_only(v for vs in seq.outputs.values() for v in vs)
+
+
+def test_store_holds_only_fractions_after_fuel_exhaustion_and_errors():
+    fuel_out = eval_stage(
+        parse("input x; output y; y := 2; while 0 < 1 do x := x + 1"),
+        [Fraction(3)],
+        StageContext.for_stage(0, step_fuel=50),
+    )
+    assert fuel_out.status.kind == "fuel-exhausted"
+    assert fractions_only(fuel_out.store.values())
+    error = eval_stage(
+        parse("input x; output y; y := x * 2; z := y / (x - x)"),
+        [Fraction(3)],
+        StageContext.for_stage(0),
+    )
+    assert error.status.error == "division-by-zero"
+    assert error.store == {"x": 3, "y": 6}
+    assert fractions_only(error.store.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    program_sources(stage_free=True, bounded=True),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    st.integers(0, 7),
+)
+def test_only_fractions_leave_a_stage(source, x, n):
+    # a float from `int / int` or a leaked int both fail here
+    res = eval_stage(parse(source), [x], StageContext.for_stage(n, step_fuel=60))
+    assert fractions_only(res.store.values())
 
 
 def test_stage_context_schedule():
