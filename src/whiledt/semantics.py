@@ -299,8 +299,7 @@ def _while(cmd, store, run):
 
 
 def _literal(expr, store, run):
-    value = expr.value
-    return value.numerator if value.denominator == 1 else value
+    return _rat(expr.value)
 
 
 def _var(expr, store, run):
@@ -319,17 +318,12 @@ def _binop(expr, store, run):
     lhs, rhs, op = expr.lhs, expr.rhs, expr.op
     a = _AEVAL[type(lhs)](lhs, store, run)
     b = _AEVAL[type(rhs)](rhs, store, run)
-    if type(a) is int and type(b) is int and op != "/":
-        return _RAT_ARITH[op](a, b)
     if type(a) in _RATIONAL and type(b) in _RATIONAL:
         if op != "/":
-            q = _RAT_ARITH[op](a, b)
-        elif b == 0:
+            return _rat(_RAT_ARITH[op](a, b))
+        if b == 0:
             raise DivisionByZero("division by zero")
-        else:
-            q = Fraction(a, b) if type(a) is int and type(b) is int else a / b
-        # q is a Fraction: at least one operand is, or it is a quotient
-        return q.numerator if q.denominator == 1 else q
+        return _rat(Fraction(a, b) if type(a) is int and type(b) is int else a / b)
     a, b, affine = _fraction(a), _fraction(b), run.ctx.use_fast_path
     if op != "/":
         return _rat(getattr(exactnum, _SYM_ARITH[op])(a, b, affine=affine))
@@ -385,12 +379,15 @@ def _compare(b, store, run):
 
 
 def _chained(b, store, run):
-    # mid is evaluated once; the left conjunct short-circuits.
+    # Operands are evaluated left to right, once each, and the left conjunct
+    # short-circuits.  The order fixes which error halts a stage and how
+    # many new digits each operand reads.
     lo, mid, hi = b.lo, b.mid, b.hi
-    m = _AEVAL[type(mid)](mid, store, run)
-    if not _cmp(b.op1, _AEVAL[type(lo)](lo, store, run), m, run):
+    x = _AEVAL[type(lo)](lo, store, run)
+    y = _AEVAL[type(mid)](mid, store, run)
+    if not _cmp(b.op1, x, y, run):
         return False
-    return _cmp(b.op2, m, _AEVAL[type(hi)](hi, store, run), run)
+    return _cmp(b.op2, y, _AEVAL[type(hi)](hi, store, run), run)
 
 
 def _member(b, store, run):

@@ -31,6 +31,11 @@ RUNS = {
     "int_arith": (["--input", "3,10/3", "--stages", "0..7"], 0),
     "pair_negative": (["--input", "0", "--stages", "0..7"], 1),
     "div_zero": (["--input", "3", "--stages", "0..7"], 1),
+    "chain_error": (["--input", "0", "--stages", "0..7"], 1),
+    "chain_fuel": (
+        ["--input", "0", "--oracle", "A=primes", "--cmp-fuel", "11", "--stages", "0..7"],
+        0,
+    ),
 }
 
 
