@@ -35,7 +35,6 @@ from .exactnum import (
     OracleReal,
     SymExpr,
     compare,
-    digit_extract,
     exact,
     floor_value,
     oracle_const,

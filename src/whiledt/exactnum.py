@@ -491,23 +491,3 @@ def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Fraction:
         _enclosures(x, Fuel(fuel_limit, recorder)), _common_floor, "floor", fuel_limit
     )
     return Fraction(fl)
-
-
-def digit_extract(x, k):
-    """Digit d_k of a value known to be 3**k times a digit stream.
-
-    The provenance is checked structurally: x must be Affine with offset 0
-    and coefficient exactly 3**k.
-    """
-    x = _coerce(x)
-    if k < 0:
-        raise ValueError("digit index must be >= 0")
-    if not (
-        isinstance(x, Affine)
-        and x.offset == 0
-        and x.coeff == Fraction(3) ** k
-    ):
-        raise ValueError(
-            f"value {x!r} is not tagged as 3**{k} times an oracle constant"
-        )
-    return x.stream.digit(k)

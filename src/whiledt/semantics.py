@@ -365,12 +365,19 @@ def _nat(value, what):
 
 
 def _cmp(op, lhs, rhs, run):
-    if type(lhs) in _RATIONAL and type(rhs) in _RATIONAL:
-        return exactnum.RAT_CMP[op](lhs, rhs)
-    lhs, rhs = _fraction(lhs), _fraction(rhs)
-    return exactnum.cmp_holds(
-        op, lhs, rhs, fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder
-    )
+    ta, tb = type(lhs), type(rhs)
+    # An int and a Fraction are cross-multiplied (a denominator is
+    # positive): Fraction's own comparison makes ABC isinstance checks.
+    if ta is int and tb is Fraction:
+        lhs, rhs = lhs * rhs.denominator, rhs.numerator
+    elif ta is Fraction and tb is int:
+        lhs, rhs = lhs.numerator, rhs * lhs.denominator
+    elif ta not in _RATIONAL or tb not in _RATIONAL:
+        return exactnum.cmp_holds(
+            op, _fraction(lhs), _fraction(rhs),
+            fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder,
+        )
+    return exactnum.RAT_CMP[op](lhs, rhs)
 
 
 def _compare(b, store, run):

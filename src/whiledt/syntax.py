@@ -18,8 +18,11 @@ before evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import re
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     MacroError,
@@ -211,6 +214,10 @@ class While(Command):
 
 @dataclass(frozen=True)
 class Program:
+    """A main program or a subprogram definition.  `oracles`, the oracle
+    names the body reads, is filled by `expand_macros`; the parser leaves
+    it empty."""
+
     inputs: tuple
     outputs: tuple
     body: Command
@@ -231,16 +238,21 @@ _CHILD_FIELDS = {
 }
 
 
-def children(node):
-    """The direct subnodes of an AST node, in source order."""
-    out = []
-    for name in _CHILD_FIELDS[type(node)]:
-        value = getattr(node, name)
-        if type(value) is tuple:
-            out.extend(value)
-        else:
-            out.append(value)
-    return out
+def _last_first(cls):
+    """A function from a node of class `cls` to its direct subnodes in
+    reverse source order, or None for a class without any."""
+    names = _CHILD_FIELDS[cls]
+    if not names:
+        return None
+    get = attrgetter(*reversed(names))
+    if cls in (Block, Call):  # one field, a tuple of subnodes
+        return lambda node: reversed(get(node))
+    if len(names) == 1:
+        return lambda node: (get(node),)
+    return get
+
+
+_LAST_FIRST = {cls: _last_first(cls) for cls in _CHILD_FIELDS}
 
 
 def walk(node):
@@ -251,75 +263,56 @@ def walk(node):
     while stack:
         node = stack.pop()
         yield node
-        if _CHILD_FIELDS[type(node)]:
-            stack.extend(reversed(children(node)))
+        subnodes = _LAST_FIRST[type(node)]
+        if subnodes is not None:
+            stack.extend(subnodes(node))
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number", "ident", a keyword, a symbol, or "eof"
-    text: str
-    line: int
-    col: int
+# `kind` is "number", "ident", a keyword, a symbol, or "eof".  A plain
+# tuple type: the parser builds one per token, and `typing` is not imported.
+Token = namedtuple("Token", "kind text line col")
 
 
 _SYMBOLS = (":=", "->", "<=", ">=", "!=",
             ";", ",", "(", ")", "{", "}", "+", "-", "*", "/", "<", ">", "=")
 
+# The kind of every keyword and symbol is its own text.
+_KINDS = {w: w for w in (*KEYWORDS, *_SYMBOLS)}
+
+# docs/grammar.md's token classes, found in a line after any blanks: a
+# number, identifier or symbol (group 1), a comment (group 2), or any other
+# character but a blank (group 3), which is an error.  Blanks at the end of
+# a line match nothing.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:([0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|"
+    + "|".join(map(re.escape, _SYMBOLS))
+    + r")|(#.*)|([^ \t\r]))"
+)
+
 
 def tokenize(source):
+    """One token per number, identifier, keyword and symbol of `source`,
+    then `eof`.  Any other character outside a comment is a ParseError at
+    its line:col."""
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            text = source[start:i]
-            tokens.append(Token("number", text, line, col))
-            col += len(text)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = text if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        end = len(text)
+        for m in _TOKEN.finditer(text):
+            word = m[1]
+            if word:
+                # a number starts with a digit, an identifier with a letter or _
+                kind = _KINDS.get(word) or ("number" if word[0] <= "9" else "ident")
+                tokens.append(Token(kind, word, line, m.start(1) + 1))
+            elif m[2]:
+                end = m.start(2)  # the end of input sits at a last-line comment
+            else:
+                raise ParseError(f"unexpected character {m[3]!r}", line, m.start(3) + 1)
+    tokens.append(Token("eof", "", len(lines), end + 1))
     return tokens
 
 
@@ -331,9 +324,11 @@ def tokenize(source):
 class _Parser:
     def __init__(self, source):
         self.tokens = tokenize(source)
+        self.tokens.append(self.tokens[-1])  # `peek(1)` at the end reads eof
         self.pos = 0
         self.depth = 0
         self.peak = 0  # deepest level reached, for the height of a chain
+        self.literals = {}  # lexeme -> its RationalLiteral, shared in this parse
 
     def too_deep(self, depth):
         if depth > MAX_NESTING:
@@ -383,7 +378,7 @@ class _Parser:
             op = self.advance().kind
 
     def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -435,9 +430,7 @@ class _Parser:
             self.expect("{")
             body = self.command()
             self.expect("}")
-            defs[name] = Program(
-                tuple(params), (out,), body, _collect_oracles(body)
-            )
+            defs[name] = Program(tuple(params), (out,), body)
         main = self.program()
         tok = self.peek()
         if tok.kind != "eof":
@@ -454,7 +447,7 @@ class _Parser:
         outputs = self.varlist()
         self.expect(";")
         body = self.command()
-        return Program(inputs, outputs, body, _collect_oracles(body))
+        return Program(inputs, outputs, body)
 
     def varlist(self):
         names = []
@@ -592,7 +585,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return RationalLiteral(Fraction(tok.text))
+            lit = self.literals.get(tok.text)
+            if lit is None:
+                lit = self.literals[tok.text] = RationalLiteral(Fraction(tok.text))
+            return lit
         if tok.kind == "dt":
             self.advance()
             return Dt()
@@ -658,12 +654,6 @@ def _fold_binop(op, lhs, rhs):
     return BinOp(op, lhs, rhs)
 
 
-def _collect_oracles(node):
-    return frozenset(
-        n.oracle for n in walk(node) if isinstance(n, (OracleRealConst, MemberOf))
-    )
-
-
 def parse_module(source):
     """Parse a source file into (subprogram defs, unexpanded main program)."""
     return _Parser(source).parse_module()
@@ -680,53 +670,59 @@ def parse(source) -> Program:
 
 
 def expand_macros(defs, main) -> Program:
-    """Inline all macro calls, call-by-value into fresh variables."""
+    """Inline all macro calls, call-by-value into fresh variables, and
+    collect the oracles the expanded program reads.
+
+    The parser accepts a call only as a whole right-hand side; a
+    hand-built call anywhere else but inside call arguments is left for
+    evaluation to refuse."""
     taken = _collect_idents(main.body) | set(main.inputs) | set(main.outputs)
-    for d in defs.values():
-        taken |= _collect_idents(d.body) | set(d.inputs) | set(d.outputs)
+    macros = {}  # name -> (definition, its variables sorted)
+    for name, d in defs.items():
+        names = _collect_idents(d.body) | set(d.inputs) | set(d.outputs)
+        macros[name] = (d, sorted(names))
+        taken |= names
     counter = [0]
-    body = _expand_cmd(main.body, defs, frozenset(), counter, taken)
-    return Program(main.inputs, main.outputs, body, _collect_oracles(body))
+    body = _expand_cmd(main.body, macros, frozenset(), counter, taken)
+    oracles = frozenset(
+        n.oracle for n in walk(body) if isinstance(n, (OracleRealConst, MemberOf))
+    )
+    return Program(main.inputs, main.outputs, body, oracles)
 
 
-def _expand_cmd(cmd, defs, stack, counter, taken):
-    if isinstance(cmd, Assign):
-        if isinstance(cmd.expr, Call):
-            return _expand_call(cmd, defs, stack, counter, taken)
-        if _contains_call(cmd.expr):
-            raise MacroError(
-                "macro calls must be the entire right-hand side of an assignment"
-            )
+def _expand_cmd(cmd, macros, stack, counter, taken):
+    cls = type(cmd)
+    if cls is Assign:
+        if type(cmd.expr) is Call:
+            return _expand_call(cmd, macros, stack, counter, taken)
         return cmd
-    if isinstance(cmd, Block):
-        return block([_expand_cmd(s, defs, stack, counter, taken) for s in cmd.stmts])
-    if isinstance(cmd, If):
-        if _contains_call(cmd.cond):
-            raise MacroError("macro calls cannot appear inside guards")
+    if cls is Block:
+        return block(
+            [_expand_cmd(s, macros, stack, counter, taken) for s in cmd.stmts]
+        )
+    if cls is If:
         return If(
             cmd.cond,
-            _expand_cmd(cmd.then, defs, stack, counter, taken),
-            _expand_cmd(cmd.orelse, defs, stack, counter, taken),
+            _expand_cmd(cmd.then, macros, stack, counter, taken),
+            _expand_cmd(cmd.orelse, macros, stack, counter, taken),
             loc=cmd.loc,
         )
-    if isinstance(cmd, While):
-        if _contains_call(cmd.cond):
-            raise MacroError("macro calls cannot appear inside guards")
+    if cls is While:
         return While(
-            cmd.cond, _expand_cmd(cmd.body, defs, stack, counter, taken), loc=cmd.loc
+            cmd.cond, _expand_cmd(cmd.body, macros, stack, counter, taken), loc=cmd.loc
         )
     return cmd
 
 
-def _expand_call(assign, defs, stack, counter, taken):
+def _expand_call(assign, macros, stack, counter, taken):
     call = assign.expr
     if call.name in stack:
         raise RecursionNotSupported(
             f"macro {call.name!r} expands to itself; recursion is not supported"
         )
-    if call.name not in defs:
+    if call.name not in macros:
         raise UnknownMacro(f"unknown macro {call.name!r}")
-    d = defs[call.name]
+    d, local = macros[call.name]
     if len(d.outputs) != 1:
         raise MacroError(
             f"macro {call.name!r} must have exactly one output to be called"
@@ -736,28 +732,23 @@ def _expand_call(assign, defs, stack, counter, taken):
             f"macro {call.name!r} takes {len(d.inputs)} argument(s),"
             f" got {len(call.args)}"
         )
-    if any(_contains_call(a) for a in call.args):
+    if any(isinstance(n, Call) for a in call.args for n in walk(a)):
         raise MacroError("macro calls cannot be nested inside arguments")
     # Fresh, collision-free names for every variable of the subprogram.
-    local = _collect_idents(d.body) | set(d.inputs) | set(d.outputs)
     while True:
         counter[0] += 1
-        mapping = {v: f"_{call.name}_{counter[0]}_{v}" for v in sorted(local)}
-        if not taken & set(mapping.values()):
+        mapping = {v: f"_{call.name}_{counter[0]}_{v}" for v in local}
+        if taken.isdisjoint(mapping.values()):
             break
-    taken |= set(mapping.values())
+    taken.update(mapping.values())
     stmts = [
         Assign(mapping[p], arg, loc=assign.loc)
         for p, arg in zip(d.inputs, call.args)
     ]
     body = _rename(d.body, mapping)
-    stmts.append(_expand_cmd(body, defs, stack | {call.name}, counter, taken))
+    stmts.append(_expand_cmd(body, macros, stack | {call.name}, counter, taken))
     stmts.append(Assign(assign.var, Var(mapping[d.outputs[0]]), loc=assign.loc))
     return block(stmts)
-
-
-def _contains_call(node):
-    return any(isinstance(n, Call) for n in walk(node))
 
 
 def _collect_idents(node):
@@ -769,20 +760,32 @@ def _collect_idents(node):
     }
 
 
+# Every field of each node class, in the order its constructor takes them.
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _CHILD_FIELDS}
+
+
 def _rename(node, mapping):
     """`node` with every variable it reads or assigns renamed by `mapping`."""
-    if isinstance(node, Var):
+    cls = type(node)
+    if cls is Var:
         return Var(mapping.get(node.name, node.name))
-    changes = {}
-    for name in _CHILD_FIELDS[type(node)]:
+    if cls is Assign:
+        return Assign(
+            mapping.get(node.var, node.var), _rename(node.expr, mapping), node.loc
+        )
+    kids = _CHILD_FIELDS[cls]
+    if not kids:
+        return node
+    args = []
+    for name in _FIELDS[cls]:
         value = getattr(node, name)
-        if type(value) is tuple:
-            changes[name] = tuple(_rename(v, mapping) for v in value)
-        else:
-            changes[name] = _rename(value, mapping)
-    if isinstance(node, Assign):
-        changes["var"] = mapping.get(node.var, node.var)
-    return replace(node, **changes) if changes else node
+        if name in kids:
+            if type(value) is tuple:
+                value = tuple(_rename(v, mapping) for v in value)
+            else:
+                value = _rename(value, mapping)
+        args.append(value)
+    return cls(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -928,23 +931,24 @@ def check(program) -> list:
                 diags.append(Diagnostic(USE_BEFORE_ASSIGN, n.name, loc))
 
     def assigned_after(cmd, defined):
+        """The variables defined after `cmd` runs; `defined` is updated in place."""
         if isinstance(cmd, Skip):
             return defined
         if isinstance(cmd, Assign):
             use(cmd.expr, defined, cmd.loc)
-            return defined | {cmd.var}
+            defined.add(cmd.var)
+            return defined
         if isinstance(cmd, Block):
             for s in cmd.stmts:
                 defined = assigned_after(s, defined)
             return defined
         if isinstance(cmd, If):
             use(cmd.cond, defined, cmd.loc)
-            d1 = assigned_after(cmd.then, defined)
-            d2 = assigned_after(cmd.orelse, defined)
-            return d1 & d2
+            d1 = assigned_after(cmd.then, set(defined))
+            return d1 & assigned_after(cmd.orelse, defined)
         if isinstance(cmd, While):
             use(cmd.cond, defined, cmd.loc)
-            assigned_after(cmd.body, defined)  # body may run zero times
+            assigned_after(cmd.body, set(defined))  # body may run zero times
             return defined
         raise TypeError(f"not a command: {cmd!r}")
 

@@ -185,6 +185,18 @@ def test_run_parse_error_exits_one(tmp_path, capsys):
     assert "expected an expression" in err
 
 
+def test_characters_outside_the_token_classes_exit_one(tmp_path, capsys):
+    # `str.isdigit` accepts `²`, which `Fraction` rejects: these runs
+    # ended in a ValueError traceback
+    prog = tmp_path / "chars.whdt"
+    for body, char, col in (("y := ²", "²", 23), ("y := 1²", "²", 24),
+                            ("é := 1; y := 1", "é", 18)):
+        prog.write_text(f"input; output y; {body}", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(prog))
+        assert code == 1 and out == ""
+        assert err == f"error: {prog}: 1:{col}: unexpected character {char!r}\n"
+
+
 def test_run_static_diagnostics_exit_one(tmp_path, capsys):
     bad = tmp_path / "ub.whdt"
     bad.write_text("input x; output y; y := z + 1")

@@ -21,7 +21,6 @@ from whiledt.exactnum import (
     add,
     cmp_holds,
     compare,
-    digit_extract,
     div,
     exact,
     floor_value,
@@ -217,29 +216,6 @@ def test_no_carry_digit_theorem_exhaustive():
         value = stream_value(digits)
         for k in range(8):
             assert (3**k * value).__floor__() % 3 == digits[k]
-
-
-def test_digit_extract_matches_definition():
-    evens = encode_set(builtin_set("evens"))
-    x4 = mul(exact(Fraction(3) ** 4), oracle_const(evens))
-    x5 = mul(exact(Fraction(3) ** 5), oracle_const(evens))
-    assert digit_extract(x4, 4) == 1
-    assert digit_extract(x5, 5) == 0
-
-
-def test_digit_extract_agrees_with_floor_route():
-    digits = [1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1]
-    r = oracle_const(finite_stream("A", digits))
-    value = stream_value(digits)
-    for k in range(13):
-        x = mul(exact(Fraction(3) ** k), r)
-        assert digit_extract(x, k) == (3**k * value).__floor__() % 3 == digits[k]
-
-
-def test_digit_extract_requires_provenance():
-    r = oracle_const(finite_stream("A", [1, 1]))
-    with pytest.raises(ValueError):
-        digit_extract(add(r, exact(1)), 0)
 
 
 def test_division_by_unseparable_symbolic():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, corpus_source, finite_stream, program_sources
 from whiledt import semantics
 from whiledt.cli import build_arg_parser, load_run, parse_expectations
-from whiledt.exactnum import oracle_const
+from whiledt.exactnum import RAT_CMP, oracle_const
 from whiledt.oracles import builtin_set, cantor_pair, finite_set, graph_oracle
 from whiledt.semantics import (
     StageContext,
@@ -82,6 +82,16 @@ def test_only_fractions_leave_a_stage(source, x, n):
     # a float from `int / int` or a leaked int both fail here
     res = eval_stage(parse(source), [x], StageContext.for_stage(n, step_fuel=60))
     assert fractions_only(res.store.values())
+
+
+_RATIONALS = st.one_of(st.integers(-(10**30), 10**30), st.fractions())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(RAT_CMP)), _RATIONALS, _RATIONALS)
+def test_rational_comparisons_agree_with_fraction(op, a, b):
+    # an int and a Fraction are compared by cross-multiplying
+    assert semantics._cmp(op, a, b, None) is RAT_CMP[op](Fraction(a), Fraction(b))
 
 
 def test_stage_context_schedule():

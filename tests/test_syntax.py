@@ -13,11 +13,13 @@ from whiledt.errors import (
     RecursionNotSupported,
     UnknownMacro,
 )
+from whiledt.semantics import StageContext, eval_stage
 from whiledt.syntax import (
     MAX_NESTING,
     Assign,
     BinOp,
     Block,
+    Call,
     ChainedCmp,
     Cmp,
     Dt,
@@ -25,6 +27,7 @@ from whiledt.syntax import (
     MemberOf,
     Neg,
     Not,
+    OracleRealConst,
     Or,
     Program,
     RationalLiteral,
@@ -36,7 +39,61 @@ from whiledt.syntax import (
     parse,
     parse_module,
     pretty_print,
+    tokenize,
+    walk,
 )
+
+TOKENS = [
+    # a tab is one column
+    ("x\t:=\t1;", [("ident", "x", 1, 1), (":=", ":=", 1, 3), ("number", "1", 1, 6),
+                  (";", ";", 1, 7), ("eof", "", 1, 8)]),
+    # CR is a blank, so CRLF ends a line like LF
+    ("input;\r\noutput y;\r\n", [("input", "input", 1, 1), (";", ";", 1, 6),
+                                 ("output", "output", 2, 1), ("ident", "y", 2, 8),
+                                 (";", ";", 2, 9), ("eof", "", 3, 1)]),
+    # the end of input after a last-line comment sits where the comment starts
+    ("y := 1 # done", [("ident", "y", 1, 1), (":=", ":=", 1, 3), ("number", "1", 1, 6),
+                       ("eof", "", 1, 8)]),
+    ("x#c\n  #d", [("ident", "x", 1, 1), ("eof", "", 2, 3)]),
+    ("x  \n  ", [("ident", "x", 1, 1), ("eof", "", 2, 3)]),
+    ("3.25 12ab _y2", [("number", "3.25", 1, 1), ("number", "12", 1, 6),
+                       ("ident", "ab", 1, 8), ("ident", "_y2", 1, 11), ("eof", "", 1, 14)]),
+    # symbols match longest first; keywords are their own kind
+    ("a<=b:=c->d!=e>=f<g>h=J", [
+        ("ident", "a", 1, 1), ("<=", "<=", 1, 2), ("ident", "b", 1, 4), (":=", ":=", 1, 5),
+        ("ident", "c", 1, 7), ("->", "->", 1, 8), ("ident", "d", 1, 10), ("!=", "!=", 1, 11),
+        ("ident", "e", 1, 13), (">=", ">=", 1, 14), ("ident", "f", 1, 16), ("<", "<", 1, 17),
+        ("ident", "g", 1, 18), (">", ">", 1, 19), ("ident", "h", 1, 20), ("=", "=", 1, 21),
+        ("J", "J", 1, 22), ("eof", "", 1, 23)]),
+]
+
+# (source, line and column of the character no token class takes, the character)
+BAD_CHARACTERS = [
+    ("3.", 1, 2, "."),
+    ("y := 3.x", 1, 7, "."),
+    ("1..2", 1, 2, "."),
+    ("a : b", 1, 3, ":"),
+    ("x := 1;\n\té := 2", 2, 2, "é"),
+    # `str.isdigit` accepts `²`; a number is ASCII digits only
+    ("y := ²", 1, 6, "²"),
+    ("y := 1²", 1, 7, "²"),
+    ("a\x0bb", 1, 2, "\x0b"),
+]
+
+
+@pytest.mark.parametrize("source, expected", TOKENS)
+def test_tokenize_table(source, expected):
+    assert tokenize(source) == expected
+
+
+@pytest.mark.parametrize("source, line, col, char", BAD_CHARACTERS)
+def test_characters_outside_the_token_classes_are_parse_errors(source, line, col, char):
+    for text in (source, f"input; output y;\n{source}"):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        at = line + text.count("\n") - source.count("\n")
+        assert (exc.value.line, exc.value.col) == (at, col)
+        assert str(exc.value) == f"{at}:{col}: unexpected character {char!r}"
 
 
 def test_parse_minimal_assign():
@@ -109,6 +166,9 @@ def test_membership_only_in_guards():
 
 def test_real3_collects_oracle_requirement():
     p = parse("input; output y; a := real3(B); y := 1")
+    assert p.oracles == frozenset({"B"})
+    # a read inside a macro counts once the call is expanded
+    p = parse("def F(a) -> r { r := real3(B) }\ninput; output y; y := F(1)")
     assert p.oracles == frozenset({"B"})
 
 
@@ -369,8 +429,6 @@ def test_macro_nested_in_argument_rejected():
             "input; output y; y := F(G(1))"
         )
     # and expansion refuses nested calls in hand-built ASTs
-    from whiledt.syntax import Call
-
     defs, main = parse_module("def F(a) -> r { r := a }\ninput; output y; y := F(1)")
     nested = Program(
         main.inputs,
@@ -379,6 +437,35 @@ def test_macro_nested_in_argument_rejected():
     )
     with pytest.raises(MacroError):
         expand_macros(defs, nested)
+
+
+@settings(max_examples=60, deadline=None)
+@given(program_sources())
+def test_expanded_oracles_are_the_ones_the_body_reads(source):
+    defs, main = parse_module(source)
+    assert main.oracles == frozenset()  # filled in by expand_macros
+    program = expand_macros(defs, main)
+    assert program.oracles == {
+        n.oracle for n in walk(program.body) if isinstance(n, (OracleRealConst, MemberOf))
+    }
+
+
+def test_hand_built_calls_outside_a_right_hand_side_are_refused_at_evaluation():
+    # expansion leaves them alone; the parser never builds them
+    defs, _ = parse_module("def F(a) -> r { r := a }\ninput; output y; y := 0")
+    one = RationalLiteral(Fraction(1))
+    call = Call("F", (one,))
+    for body in (
+        If(Cmp("<", call, one), Assign("y", one), Assign("y", one)),
+        Block((Assign("y", one), While(Cmp("<", one, call), Skip()))),
+        Assign("y", BinOp("+", call, one)),
+    ):
+        program = expand_macros(defs, Program((), ("y",), body))
+        status = eval_stage(program, [], StageContext.for_stage(0)).status
+        assert (status.kind, status.error) == ("error", "runtime-error")
+        assert status.message == (
+            "macro call 'F' survived to evaluation; expand macros first"
+        )
 
 
 def test_expand_macros_transitive():
@@ -394,7 +481,5 @@ y := TWICE(x)
 """
     p = parse(src)
     assert check(p) == []
-    from whiledt.semantics import StageContext, eval_stage
-
     res = eval_stage(p, [Fraction(5)], StageContext.for_stage(0))
     assert res.store["y"] == Fraction(7)
