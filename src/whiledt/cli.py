@@ -87,7 +87,9 @@ def resolve_oracle(name, src, defs):
     if src.startswith("bitfile:"):
         return oracles.bitfile_set(name, src[len("bitfile:"):])
     if src.startswith("graph:"):
-        _, macro, bound = src.split(":", 2)
+        macro, _, bound = src[len("graph:"):].partition(":")
+        if not bound:
+            raise ValueError(f"a graph oracle expects graph:MACRO:BOUND, got {src!r}")
         fn = oracles.macro_callable(defs, macro)
         return oracles.graph_oracle(fn, int(bound), name=f"graph:{macro}:{bound}")
     raise ValueError(f"unknown oracle source {src!r}")
@@ -186,17 +188,15 @@ def build_run_report(program, name, inputs, schedule, binding, oracle_descr, **r
             )
     supertask = None
     halted = [i for i, st in enumerate(seq.statuses) if st.ok]
+    energy = seq.energy_values and [seq.energy_values[i] for i in halted]
+    for i, v in zip(halted, energy or ()):
+        if not isinstance(v, Fraction):
+            what = "unassigned" if v is None else "symbolic"
+            warnings.append(f"supertask: energy variable {seq.energy_var!r}"
+                            f" is {what} at stage {seq.schedule[i]}")
+            energy = None
+            break
     try:
-        energy = None
-        if seq.energy_values is not None:
-            energy = []
-            for i in halted:
-                v = seq.energy_values[i]
-                if not isinstance(v, Fraction):
-                    raise InsufficientStages(
-                        f"energy variable {seq.energy_var!r} is not rational"
-                    )
-                energy.append(v)
         supertask = classify_supertask(
             [seq.schedule[i] for i in halted], [seq.ledgers[i] for i in halted], energy
         )

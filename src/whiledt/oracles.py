@@ -147,8 +147,8 @@ def graph_oracle(fn, bound, name=None) -> OracleSet:
 def macro_callable(defs, name):
     """Natural-to-natural function computed by a one-argument subprogram.
 
-    The subprogram must be dt-free; it is evaluated at a fixed internal
-    stage, memoized per argument.
+    The subprogram must not read `dt` or `infinity`: it is evaluated at
+    stage 0, memoized per argument.
     """
     if name not in defs:
         raise UnknownMacro(f"unknown macro {name!r}")
@@ -159,6 +159,8 @@ def macro_callable(defs, name):
     from .semantics import StageContext, eval_stage
 
     program = syntax.expand_macros(defs, d)
+    if program.reads_stage:
+        raise ValueError(f"macro {name!r} reads dt or infinity, so its graph is not fixed")
     ctx = StageContext.for_stage(0, step_fuel=MACRO_STEP_FUEL)
     cache = {}
 

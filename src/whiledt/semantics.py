@@ -16,7 +16,6 @@ and so every output and energy value, holds Fractions and symbolic values.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,11 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_STEP_FUEL = 10**7
-
-# The nodes that read the stage or an oracle.  An oracle's membership test
-# is an arbitrary callable, so a program that reads one (through these
-# nodes or a symbolic input) runs at every stage.
-_STAGE_DEPENDENT = (syntax.Dt, syntax.Infinity, syntax.OracleRealConst, syntax.MemberOf)
 
 # 0..15 for the dense prefix, then a doubling tail for trend detection.
 DEFAULT_SCHEDULE = tuple(range(16)) + (31, 63, 127)
@@ -160,7 +154,6 @@ def eval_stage(program, inputs, ctx, oracles=None) -> StageResult:
     run = None
     try:
         run = _Run(ctx, oracles, program)
-        run.meter.note_store(len(store))
         _EXEC[type(program.body)](program.body, store, run)
         status = HaltStatus("halted")
     except _FuelOut as e:
@@ -168,6 +161,7 @@ def eval_stage(program, inputs, ctx, oracles=None) -> StageResult:
     except EvalError as e:
         status = HaltStatus("error", error=e.kind, message=str(e))
     if run:
+        run.meter.note_store(len(store))  # the store only grows
         run.meter.charge_oracle(run.recorder.count)
     return StageResult(
         store={name: _fraction(value) for name, value in store.items()},
@@ -191,19 +185,21 @@ def eval_stages(
     StageContext fields `step_fuel`, `cmp_fuel`, `cost_model` and
     `use_fast_path`, passed to every stage.
 
-    A program that reads no `dt`, `infinity` or oracle (and has no symbolic
-    input) computes the same thing at every stage, so it is evaluated once
-    and that one StageResult is reported at every stage."""
+    A program that reads no `dt`, `infinity` or oracle (whose membership
+    test is an arbitrary callable) and has no symbolic input computes the
+    same thing at every stage, so it is evaluated once and that one
+    StageResult is reported at every stage.  A Program that
+    `syntax.expand_macros` did not build runs at every stage."""
     schedule = list(schedule)
     if not schedule:
         raise ValueError("schedule must be nonempty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
 
-    invariant = not any(
-        isinstance(v, exactnum.ExactReal) for v in inputs
-    ) and not any(
-        isinstance(node, _STAGE_DEPENDENT) for node in syntax.walk(program.body)
+    invariant = not (
+        program.reads_stage
+        or program.oracles
+        or any(isinstance(v, exactnum.ExactReal) for v in inputs)
     )
     results = []
     for n in schedule:
@@ -237,11 +233,12 @@ def eval_stages(
 # Big-step execution
 #
 # Each node runs through the handler its type maps to in _EXEC, _AEVAL or
-# _BEVAL.  Two rationals are combined with Python's operators; any other
-# pairing goes to the exactnum functions, with its ints made Fractions.
+# _BEVAL.  Two rationals are combined by the operator's exact operation in
+# `syntax.ARITH_OPS`; any other pairing goes to the exactnum functions, with
+# its ints made Fractions.
 
 _RATIONAL = (int, Fraction)
-_RAT_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_RAT_ARITH = {op: apply for op, (_, apply) in syntax.ARITH_OPS.items()}
 # exactnum's functions by name, looked up at each call so that a wrapper
 # put on the module attribute sees the call
 _SYM_ARITH = {"+": "add", "-": "sub", "*": "mul"}
@@ -263,7 +260,6 @@ def _assign(cmd, store, run):
     run.tick(cmd.loc)
     store[cmd.var] = _AEVAL[type(cmd.expr)](cmd.expr, store, run)
     run.meter.charge_assign(cmd.var)
-    run.meter.note_store(len(store))
 
 
 def _block(cmd, store, run):
@@ -319,11 +315,10 @@ def _binop(expr, store, run):
     a = _AEVAL[type(lhs)](lhs, store, run)
     b = _AEVAL[type(rhs)](rhs, store, run)
     if type(a) in _RATIONAL and type(b) in _RATIONAL:
-        if op != "/":
+        try:
             return _rat(_RAT_ARITH[op](a, b))
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        return _rat(Fraction(a, b) if type(a) is int and type(b) is int else a / b)
+        except ZeroDivisionError:
+            raise DivisionByZero("division by zero") from None
     a, b, affine = _fraction(a), _fraction(b), run.ctx.use_fast_path
     if op != "/":
         return _rat(getattr(exactnum, _SYM_ARITH[op])(a, b, affine=affine))
@@ -397,6 +392,13 @@ def _chained(b, store, run):
     return _cmp(b.op2, y, _AEVAL[type(hi)](hi, store, run), run)
 
 
+def _boolop(b, store, run):
+    lhs, rhs = b.lhs, b.rhs
+    if b.op == "and":
+        return _BEVAL[type(lhs)](lhs, store, run) and _BEVAL[type(rhs)](rhs, store, run)
+    return _BEVAL[type(lhs)](lhs, store, run) or _BEVAL[type(rhs)](rhs, store, run)
+
+
 def _member(b, store, run):
     z = _nat(_AEVAL[type(b.expr)](b.expr, store, run), "membership query")
     oracle = run.oracles[b.oracle]
@@ -430,8 +432,5 @@ _BEVAL = {
     syntax.ChainedCmp: _chained,
     syntax.MemberOf: _member,
     syntax.Not: lambda b, store, run: not _BEVAL[type(b.expr)](b.expr, store, run),
-    syntax.And: lambda b, store, run: _BEVAL[type(b.lhs)](b.lhs, store, run)
-    and _BEVAL[type(b.rhs)](b.rhs, store, run),
-    syntax.Or: lambda b, store, run: _BEVAL[type(b.lhs)](b.lhs, store, run)
-    or _BEVAL[type(b.rhs)](b.rhs, store, run),
+    syntax.BoolOp: _boolop,
 }

@@ -10,7 +10,7 @@ one main program:
 
 Statements are separated by `;`; loop and branch bodies are single
 statements or `{ ... }` blocks.  Numeric literals (`3`, `3.7`, `23/10`)
-always denote exact rationals: a quotient of two literals is folded into a
+always denote exact rationals: `+ - * /` of two literals is folded into a
 single literal at parse time, so no inexact value ever enters the AST.
 Subprogram calls are compile-time macros, expanded by `expand_macros`
 before evaluation.
@@ -18,6 +18,7 @@ before evaluation.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -46,9 +47,18 @@ CMP_OPS = ("<=", ">=", "!=", "<", ">", "=")
 # inside Python's default recursion limit of 1000.
 MAX_NESTING = 150
 
-# Left-deep binary operators by precedence, loosest first (`_Parser.chain`).
-BOOL_OPS = (("or",), ("and",))
-ARITH_OPS = (("+", "-"), ("*", "/"))
+# The left-associative binary operators of each kind and their precedence
+# (higher binds tighter), read by the parser, the printer and the
+# evaluator.  `+ - * /` map also to their exact operation on two rationals
+# (`int / int` is a Fraction), which folds two literals and evaluates two
+# rational operands; it raises ZeroDivisionError on a zero divisor.
+ARITH_OPS = {
+    "+": (1, operator.add),
+    "-": (1, operator.sub),
+    "*": (2, operator.mul),
+    "/": (2, lambda a, b: Fraction(a, b) if type(a) is type(b) is int else a / b),
+}
+BOOL_OPS = {"or": 1, "and": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +160,8 @@ class Not(BoolExpr):
 
 
 @dataclass(frozen=True)
-class And(BoolExpr):
-    lhs: BoolExpr
-    rhs: BoolExpr
-
-
-@dataclass(frozen=True)
-class Or(BoolExpr):
+class BoolOp(BoolExpr):
+    op: str  # and | or
     lhs: BoolExpr
     rhs: BoolExpr
 
@@ -214,14 +219,16 @@ class While(Command):
 
 @dataclass(frozen=True)
 class Program:
-    """A main program or a subprogram definition.  `oracles`, the oracle
-    names the body reads, is filled by `expand_macros`; the parser leaves
-    it empty."""
+    """A main program or a subprogram definition.  `expand_macros` records
+    the oracles the body reads and whether it reads `dt` or `infinity`; the
+    parser leaves `oracles` empty and `reads_stage` True, so a Program that
+    expand_macros did not build runs at every stage."""
 
     inputs: tuple
     outputs: tuple
     body: Command
     oracles: frozenset = frozenset()
+    reads_stage: bool = True
 
 
 # The fields that hold subnodes, per node class: those annotated with a
@@ -347,35 +354,37 @@ class _Parser:
         self.depth -= 1
         return result
 
-    def chain(self, table, level=0):
-        """A left-deep chain of the operators `table[level]` whose operands
-        are chains of the next level, and below the last level `factor`s
-        (ARITH_OPS) or `bool_factor`s (BOOL_OPS).  Each operator puts what
-        comes before it one level deeper, so a chain nests as deep as its
-        deepest operand plus one level per operator."""
+    def chain(self, ops, least=1):
+        """A left-deep chain of the operators of `ops` (ARITH_OPS or
+        BOOL_OPS) that bind at least as tight as `least`, by precedence
+        climbing over `factor`s or `bool_factor`s.  Two literals fold into
+        one, unless the operator divides by zero.  Each operator puts its
+        left operand one level deeper, so a chain nests as deep as its
+        deepest operand plus one level per operator above it."""
         base, outer = self.depth, self.peak
-        height, lhs, op = 0, None, None
+        self.peak = base
+        arith = ops is ARITH_OPS
+        lhs = self.factor() if arith else self.bool_factor()
+        height = self.peak - base
         while True:
-            self.peak = base
-            if level + 1 < len(table):
-                rhs = self.chain(table, level + 1)
-            elif table is ARITH_OPS:
-                rhs = self.factor()
-            else:
-                rhs = self.bool_factor()
-            if op is None:
-                lhs, height = rhs, self.peak - base
-            else:
-                height = max(height, self.peak - base) + 1
-                self.too_deep(base + height)
-                if table is ARITH_OPS:
-                    lhs = _fold_binop(op, lhs, rhs)
-                else:
-                    lhs = (Or if op == "or" else And)(lhs, rhs)
-            if self.peek().kind not in table[level]:
+            op = self.peek().kind
+            prec = ops.get(op)
+            if arith and prec:
+                prec, apply = prec
+            if prec is None or prec < least:
                 self.peak = max(outer, base + height)
                 return lhs
-            op = self.advance().kind
+            self.advance()
+            self.peak = base
+            rhs = self.chain(ops, prec + 1)
+            height = max(height, self.peak - base) + 1
+            self.too_deep(base + height)
+            if not arith:
+                lhs = BoolOp(op, lhs, rhs)
+            elif type(lhs) is type(rhs) is RationalLiteral and (rhs.value or op != "/"):
+                lhs = RationalLiteral(apply(lhs.value, rhs.value))
+            else:
+                lhs = BinOp(op, lhs, rhs)
 
     def peek(self, ahead=0):
         return self.tokens[self.pos + ahead]
@@ -387,10 +396,12 @@ class _Parser:
         return tok
 
     def expect(self, kind, what=None):
+        """The next token, which must be a `kind`; `what` names it in the
+        error, and by default `kind` does."""
         tok = self.peek()
         if tok.kind != kind:
             raise ParseError(
-                f"expected {what or kind!r}, found {tok.text or 'end of input'!r}",
+                f"expected {what or repr(kind)}, found {tok.text or 'end of input'!r}",
                 tok.line,
                 tok.col,
                 expected=(kind,),
@@ -398,15 +409,7 @@ class _Parser:
         return self.advance()
 
     def ident(self, what="identifier"):
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(
-                f"expected {what}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-                expected=("ident",),
-            )
-        return self.advance().text
+        return self.expect("ident", what).text
 
     # ---- module / program structure
 
@@ -638,22 +641,6 @@ class _Parser:
         )
 
 
-def _fold_binop(op, lhs, rhs):
-    # Exact constant folding keeps `23/10` a single literal while `/` stays
-    # ordinary division everywhere else.  Division by a zero literal is left
-    # unfolded so it fails at run time, not parse time.
-    if isinstance(lhs, RationalLiteral) and isinstance(rhs, RationalLiteral):
-        if op == "+":
-            return RationalLiteral(lhs.value + rhs.value)
-        if op == "-":
-            return RationalLiteral(lhs.value - rhs.value)
-        if op == "*":
-            return RationalLiteral(lhs.value * rhs.value)
-        if op == "/" and rhs.value != 0:
-            return RationalLiteral(lhs.value / rhs.value)
-    return BinOp(op, lhs, rhs)
-
-
 def parse_module(source):
     """Parse a source file into (subprogram defs, unexpanded main program)."""
     return _Parser(source).parse_module()
@@ -671,7 +658,7 @@ def parse(source) -> Program:
 
 def expand_macros(defs, main) -> Program:
     """Inline all macro calls, call-by-value into fresh variables, and
-    collect the oracles the expanded program reads.
+    record what the expanded program reads (see `Program`).
 
     The parser accepts a call only as a whole right-hand side; a
     hand-built call anywhere else but inside call arguments is left for
@@ -684,10 +671,14 @@ def expand_macros(defs, main) -> Program:
         taken |= names
     counter = [0]
     body = _expand_cmd(main.body, macros, frozenset(), counter, taken)
-    oracles = frozenset(
-        n.oracle for n in walk(body) if isinstance(n, (OracleRealConst, MemberOf))
-    )
-    return Program(main.inputs, main.outputs, body, oracles)
+    oracles, reads_stage = set(), False
+    for n in walk(body):
+        cls = type(n)
+        if cls is OracleRealConst or cls is MemberOf:
+            oracles.add(n.oracle)
+        elif cls is Dt or cls is Infinity:
+            reads_stage = True
+    return Program(main.inputs, main.outputs, body, frozenset(oracles), reads_stage)
 
 
 def _expand_cmd(cmd, macros, stack, counter, taken):
@@ -792,21 +783,23 @@ def _rename(node, mapping):
 # Pretty-printer
 
 
-_ADD, _MUL, _UNARY, _ATOM = 1, 2, 3, 4
+_UNARY = 3  # binds tighter than every binary operator
+
+
+def _pp_infix(e, pp, prec, ctx):
+    """`e.lhs op e.rhs` at precedence `prec`, in parentheses in a tighter `ctx`."""
+    s = f"{pp(e.lhs, prec)} {e.op} {pp(e.rhs, prec + 1)}"
+    return f"({s})" if ctx > prec else s
 
 
 def _pp_arith(e, ctx=0):
     if isinstance(e, RationalLiteral):
-        s = (
-            str(e.value.numerator)
-            if e.value.denominator == 1
-            else f"{e.value.numerator}/{e.value.denominator}"
-        )
+        s = str(e.value)  # `n` or `n/d`
         # Negative literals are parenthesized so they re-lex as unary minus;
         # fraction forms re-lex as division, so they bind like one.
         if e.value < 0:
             return f"({s})"
-        if e.value.denominator != 1 and ctx > _MUL:
+        if e.value.denominator != 1 and ctx > ARITH_OPS["/"][0]:
             return f"({s})"
         return s
     if isinstance(e, Var):
@@ -827,13 +820,8 @@ def _pp_arith(e, ctx=0):
         s = "-" + _pp_arith(e.expr, _UNARY)
         return f"({s})" if ctx > _UNARY else s
     if isinstance(e, BinOp):
-        prec = _ADD if e.op in "+-" else _MUL
-        s = f"{_pp_arith(e.lhs, prec)} {e.op} {_pp_arith(e.rhs, prec + 1)}"
-        return f"({s})" if ctx > prec else s
+        return _pp_infix(e, _pp_arith, ARITH_OPS[e.op][0], ctx)
     raise TypeError(f"not an arithmetic expression: {e!r}")
-
-
-_OR, _AND = 1, 2
 
 
 def _pp_bool(b, ctx=0):
@@ -847,13 +835,9 @@ def _pp_bool(b, ctx=0):
         return f"{_pp_arith(b.expr)} in {b.oracle}"
     if isinstance(b, Not):
         inner = _pp_bool(b.expr)
-        return f"not ({inner})" if isinstance(b.expr, (And, Or)) else f"not {inner}"
-    if isinstance(b, And):
-        s = f"{_pp_bool(b.lhs, _AND)} and {_pp_bool(b.rhs, _AND + 1)}"
-        return f"({s})" if ctx > _AND else s
-    if isinstance(b, Or):
-        s = f"{_pp_bool(b.lhs, _OR)} or {_pp_bool(b.rhs, _OR + 1)}"
-        return f"({s})" if ctx > _OR else s
+        return f"not ({inner})" if isinstance(b.expr, BoolOp) else f"not {inner}"
+    if isinstance(b, BoolOp):
+        return _pp_infix(b, _pp_bool, BOOL_OPS[b.op], ctx)
     raise TypeError(f"not a boolean expression: {b!r}")
 
 

@@ -122,7 +122,7 @@ def test_run_missing_oracle_fails(capsys):
     assert "unbound oracle" in err
 
 
-def test_run_usage_errors(capsys):
+def test_run_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "run", corpus_file("floor.whdt"), "--input", "x&y"
     )
@@ -144,6 +144,17 @@ def test_run_usage_errors(capsys):
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    # a graph oracle's macro must compute the same function at every stage
+    prog = tmp_path / "stage_macro.whdt"
+    prog.write_text("def F(u) -> w { w := u + infinity }\n"
+                    + (CORPUS / "compute.whdt").read_text(encoding="utf-8"))
+    for path, spec, message in (
+        (prog, "A=graph:F:10", "macro 'F' reads dt or infinity, so its graph is not fixed"),
+        (CORPUS / "compute.whdt", "A=graph:SQ",
+         "a graph oracle expects graph:MACRO:BOUND, got 'graph:SQ'"),
+    ):
+        code, out, err = run_cli(capsys, "run", str(path), "--input", "3", "--oracle", spec)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_nesting_past_the_limit_is_a_usage_error(tmp_path, capsys):
@@ -215,6 +226,33 @@ def test_run_energy_and_clock_flags(capsys):
     assert doc["supertask"]["metered"]["class"] == "bad"
     assert doc["supertask"]["energy_var"] == "energy"
     assert doc["supertask"]["energy"]["class"] == "good"
+
+
+def test_a_bad_energy_variable_keeps_the_metered_verdict(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "run", corpus_file("floor.whdt"), "--input", "5",
+        "--energy-var", "nope", "--stages", "0..7",
+    )
+    assert code == 0
+    assert "supertask (metered): good - bounded" in out
+    assert out.endswith(
+        "warnings:\n  - supertask: energy variable 'nope' is unassigned at stage 0\n"
+    )
+    prog = tmp_path / "energy.whdt"
+    for body, oracle, warning in (
+        ("if 1/2 < dt then e := 1", (), "'e' is unassigned at stage 1"),
+        ("e := real3(A)", ("--oracle", "A=primes"), "'e' is symbolic at stage 0"),
+    ):
+        prog.write_text(f"input; output y; y := 0; {body}")
+        code, out, err = run_cli(
+            capsys, "run", str(prog), "--energy-var", "e", "--stages", "0..7",
+            "--report", "json", *oracle,
+        )
+        doc = json.loads(out)
+        assert doc["supertask"]["metered"]["class"] == "good"
+        assert doc["supertask"]["energy_var"] == "e"
+        assert doc["supertask"]["energy"] is None
+        assert doc["warnings"] == [f"supertask: energy variable {warning}"]
 
 
 def test_cost_overrides_and_config(tmp_path, capsys):

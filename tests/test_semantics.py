@@ -18,7 +18,7 @@ from whiledt.semantics import (
     eval_stage,
     eval_stages,
 )
-from whiledt.syntax import parse
+from whiledt.syntax import Program, parse
 
 SMALL_SCHEDULE = list(range(8))
 
@@ -320,6 +320,10 @@ def test_only_stage_invariant_programs_are_evaluated_once(stage_calls, path):
     calls = sum(args[0] is program for args in stage_calls)
     # floor.whdt is the one corpus program that reads no dt, infinity or oracle
     assert calls == (1 if path.name == "floor.whdt" else len(SMALL_SCHEDULE))
+    # a Program that expand_macros did not build runs at every stage
+    rebuilt = Program(program.inputs, program.outputs, program.body, program.oracles)
+    eval_stages(rebuilt, run["inputs"], SMALL_SCHEDULE, run["binding"])
+    assert sum(args[0] is rebuilt for args in stage_calls) == len(SMALL_SCHEDULE)
 
 
 def test_symbolic_input_is_evaluated_per_stage(stage_calls):

@@ -19,16 +19,17 @@ from whiledt.syntax import (
     Assign,
     BinOp,
     Block,
+    BoolOp,
     Call,
     ChainedCmp,
     Cmp,
     Dt,
     If,
+    Infinity,
     MemberOf,
     Neg,
     Not,
     OracleRealConst,
-    Or,
     Program,
     RationalLiteral,
     Skip,
@@ -133,7 +134,7 @@ def test_floor_guard_shape():
     assert isinstance(loop, While)
     guard = loop.cond
     assert isinstance(guard, Not)
-    assert isinstance(guard.expr, Or)
+    assert isinstance(guard.expr, BoolOp) and guard.expr.op == "or"
     left, right = guard.expr.lhs, guard.expr.rhs
     assert left == ChainedCmp(Var("n"), "<=", Var("x"), "<",
                               BinOp("+", Var("n"), RationalLiteral(Fraction(1))))
@@ -448,6 +449,11 @@ def test_expanded_oracles_are_the_ones_the_body_reads(source):
     assert program.oracles == {
         n.oracle for n in walk(program.body) if isinstance(n, (OracleRealConst, MemberOf))
     }
+    # and whether it reads the stage, which the parser leaves unknown (True)
+    assert main.reads_stage
+    assert program.reads_stage == any(
+        isinstance(n, (Dt, Infinity)) for n in walk(program.body)
+    )
 
 
 def test_hand_built_calls_outside_a_right_hand_side_are_refused_at_evaluation():
