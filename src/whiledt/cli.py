@@ -82,7 +82,8 @@ def resolve_oracle(name, src, defs):
     if src in ("primes", "evens", "squares"):
         return oracles.builtin_set(src)
     if src.startswith("finite:"):
-        items = [int(v) for v in src[len("finite:"):].split(",") if v.strip()]
+        form = "finite:N,N,... with naturals N"
+        items = [_natural(v, src, form) for v in src.partition(":")[2].split(",") if v.strip()]
         return oracles.finite_set(name, items)
     if src.startswith("bitfile:"):
         return oracles.bitfile_set(name, src[len("bitfile:"):])
@@ -91,8 +92,20 @@ def resolve_oracle(name, src, defs):
         if not bound:
             raise ValueError(f"a graph oracle expects graph:MACRO:BOUND, got {src!r}")
         fn = oracles.macro_callable(defs, macro)
-        return oracles.graph_oracle(fn, int(bound), name=f"graph:{macro}:{bound}")
+        n = _natural(bound, src, "graph:MACRO:BOUND with a natural BOUND")
+        return oracles.graph_oracle(fn, n, name=f"graph:{macro}:{bound}")
     raise ValueError(f"unknown oracle source {src!r}")
+
+
+def _natural(text, src, form):
+    """int(text) when that is a natural; else a ValueError naming `form`."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError(f"a {src.partition(':')[0]} oracle expects {form}, got {src!r}")
+    return n
 
 
 class Exit(Exception):

@@ -190,7 +190,10 @@ def value_repr(x):
 
 
 def exact(x) -> Fraction:
-    """An int, Fraction, or exact-decimal/fraction string as a Fraction."""
+    """An int, Fraction, Decimal, or exact-decimal/fraction string as a
+    Fraction.  A float is refused: 0.1 is not the binary number it holds."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a binary float; pass an exact rational")
     return Fraction(x)
 
 
@@ -210,38 +213,29 @@ def _affine(offset, coeff, stream):
     return Affine(offset, coeff, stream)
 
 
-def add(a, b, affine=True):
+def _add_sub(op, a, b, affine):
+    """`a + b` or `a - b`: two rationals fold, and with `affine` a rational
+    or a same-stream Affine folds into an Affine (or into its offset when
+    the coefficients cancel).  Anything else is a SymExpr."""
+    f = operator.add if op == "+" else operator.sub
     if type(a) is Fraction and type(b) is Fraction:
-        return a + b
+        return f(a, b)
     if affine:
-        if type(a) is Fraction and isinstance(b, Affine):
-            return _affine(a + b.offset, b.coeff, b.stream)
-        if isinstance(a, Affine) and type(b) is Fraction:
-            return _affine(a.offset + b, a.coeff, a.stream)
-        if (
-            isinstance(a, Affine)
-            and isinstance(b, Affine)
-            and a.stream is b.stream
-        ):
-            return _affine(a.offset + b.offset, a.coeff + b.coeff, a.stream)
-    return SymExpr("+", a, b)
+        if type(a) is Fraction and type(b) is Affine:
+            return _affine(f(a, b.offset), f(0, b.coeff), b.stream)
+        if type(a) is Affine and type(b) is Fraction:
+            return _affine(f(a.offset, b), a.coeff, a.stream)
+        if type(a) is Affine and type(b) is Affine and a.stream is b.stream:
+            return _affine(f(a.offset, b.offset), f(a.coeff, b.coeff), a.stream)
+    return SymExpr(op, a, b)
+
+
+def add(a, b, affine=True):
+    return _add_sub("+", a, b, affine)
 
 
 def sub(a, b, affine=True):
-    if type(a) is Fraction and type(b) is Fraction:
-        return a - b
-    if affine:
-        if type(a) is Fraction and isinstance(b, Affine):
-            return _affine(a - b.offset, -b.coeff, b.stream)
-        if isinstance(a, Affine) and type(b) is Fraction:
-            return _affine(a.offset - b, a.coeff, a.stream)
-        if (
-            isinstance(a, Affine)
-            and isinstance(b, Affine)
-            and a.stream is b.stream
-        ):
-            return _affine(a.offset - b.offset, a.coeff - b.coeff, a.stream)
-    return SymExpr("-", a, b)
+    return _add_sub("-", a, b, affine)
 
 
 def mul(a, b, affine=True):
@@ -249,8 +243,6 @@ def mul(a, b, affine=True):
         return a * b
     if affine:
         if type(a) is Fraction and isinstance(b, Affine):
-            if a == 0:
-                return Fraction(0)
             return _affine(a * b.offset, a * b.coeff, b.stream)
         if isinstance(a, Affine) and type(b) is Fraction:
             return mul(b, a)
@@ -260,10 +252,6 @@ def mul(a, b, affine=True):
 
 
 def neg(a):
-    if type(a) is Fraction:
-        return -a
-    if isinstance(a, Affine):
-        return Affine(-a.offset, -a.coeff, a.stream)
     return sub(Fraction(0), a)
 
 
@@ -283,53 +271,45 @@ def div(a, b, affine=True, fuel_limit=DEFAULT_FUEL, recorder=None):
             return _affine(a.offset / b, a.coeff / b, a.stream)
         return SymExpr("/", a, b)
     prec = _decide(
-        _depth_enclosures(b, Fuel(fuel_limit, recorder)),
-        lambda j, iv: None if 0 in iv else j,
-        "divisor sign",
-        fuel_limit,
+        _depth_enclosures, b, Fuel(fuel_limit, recorder),
+        lambda j, iv: None if 0 in iv else j, "divisor sign",
     )
     return SymExpr("/", a, b, den_prec=prec)
 
 
-def _decide(enclosures, verdict, what, fuel_limit):
+def _decide(route, x, fuel, verdict, what):
     """The refinement loop behind every exact comparison, floor and divisor
-    check: read shrinking enclosures until one decides, or refuse.
+    check: read shrinking enclosures of x until one decides, or refuse.
 
-    `enclosures` yields (step, Interval) pairs and `verdict(step, iv)`
+    `route(x, fuel)` yields (step, Interval) pairs and `verdict(step, iv)`
     returns the answer, or None while the enclosure is undecided.  When
     the digit fuel runs out the loop raises UnresolvedComparison naming
     `what` was left undecided, the fuel and the last enclosure read.
     """
     last = None
     try:
-        for step, last in enclosures:
+        for step, last in route(x, fuel):
             answer = verdict(step, last)
             if answer is not None:
                 return answer
     except OracleQueryLimit:
         raise UnresolvedComparison(
-            f"{what} unresolved after {fuel_limit} digit queries;"
+            f"{what} unresolved after {fuel.limit} digit queries;"
             f" last enclosure {last}",
-            fuel=fuel_limit,
+            fuel=fuel.limit,
         ) from None
 
 
-def _depths():
-    """Refinement depths for sign/floor searches: 0, 1, 2, 4, 8, ...
+def _depth_enclosures(x, fuel):
+    """(j, enclosure at depth j) for the depths 0, 1, 2, 4, 8, ...
 
-    The answers these searches produce are depth-independent, so the
-    schedule only affects how fast the budget is spent.
+    The answers sign and floor searches produce are depth-independent, so
+    the schedule only affects how fast the budget is spent.
     """
     j = 0
     while True:
-        yield j
-        j = max(j + 1, 2 * j)
-
-
-def _depth_enclosures(x, fuel):
-    """(j, enclosure at depth j) for the geometric depth schedule."""
-    for j in _depths():
         yield j, _enclose(x, j, fuel)
+        j = max(j + 1, 2 * j)
 
 
 def _enclosures(x, fuel):
@@ -400,10 +380,9 @@ def refine(x, k, fuel_limit=DEFAULT_FUEL, recorder=None) -> Interval:
         raise ValueError("precision must be >= 0")
     target = Fraction(1, 3**k)
     return _decide(
-        _enclosures(_coerce(x), Fuel(fuel_limit, recorder)),
+        _enclosures, _coerce(x), Fuel(fuel_limit, recorder),
         lambda _, iv: iv if iv.width <= target else None,
         f"enclosure of width 3**-{k}",
-        fuel_limit,
     )
 
 
@@ -426,9 +405,7 @@ def compare(a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     d = sub(a, b)
     if type(d) is Fraction:
         return LT if d < 0 else GT if d > 0 else EQ
-    return _decide(
-        _enclosures(d, Fuel(fuel_limit, recorder)), _sign, "comparison", fuel_limit
-    )
+    return _decide(_enclosures, d, Fuel(fuel_limit, recorder), _sign, "comparison")
 
 
 # The six comparison operators on rationals, and on an enclosure [lo, hi]
@@ -469,10 +446,8 @@ def cmp_holds(op, a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
         return RAT_CMP[op](d, 0)
     holds = _ENCLOSURE_CMP[op]
     return _decide(
-        _enclosures(d, Fuel(fuel_limit, recorder)),
-        lambda _, iv: holds(iv.lo, iv.hi),
-        f"guard `{op}`",
-        fuel_limit,
+        _enclosures, d, Fuel(fuel_limit, recorder),
+        lambda _, iv: holds(iv.lo, iv.hi), f"guard `{op}`",
     )
 
 
@@ -487,7 +462,5 @@ def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Fraction:
     x = _coerce(x)
     if type(x) is Fraction:
         return Fraction(math.floor(x))
-    fl = _decide(
-        _enclosures(x, Fuel(fuel_limit, recorder)), _common_floor, "floor", fuel_limit
-    )
+    fl = _decide(_enclosures, x, Fuel(fuel_limit, recorder), _common_floor, "floor")
     return Fraction(fl)

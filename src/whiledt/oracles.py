@@ -147,8 +147,8 @@ def graph_oracle(fn, bound, name=None) -> OracleSet:
 def macro_callable(defs, name):
     """Natural-to-natural function computed by a one-argument subprogram.
 
-    The subprogram must not read `dt` or `infinity`: it is evaluated at
-    stage 0, memoized per argument.
+    The subprogram must not read `dt`, `infinity` or an oracle: it is
+    evaluated at stage 0 with no oracles bound, memoized per argument.
     """
     if name not in defs:
         raise UnknownMacro(f"unknown macro {name!r}")
@@ -161,6 +161,11 @@ def macro_callable(defs, name):
     program = syntax.expand_macros(defs, d)
     if program.reads_stage:
         raise ValueError(f"macro {name!r} reads dt or infinity, so its graph is not fixed")
+    if program.oracles:
+        read = ", ".join(sorted(program.oracles))
+        raise ValueError(
+            f"macro {name!r} reads oracle {read}, but a graph macro runs with no oracle bound"
+        )
     ctx = StageContext.for_stage(0, step_fuel=MACRO_STEP_FUEL)
     cache = {}
 

@@ -45,63 +45,72 @@ def fmt_schedule(schedule):
     return ",".join(parts)
 
 
-def verdict_descriptor(cls):
-    """Compact form used by corpus expectation matching."""
-    if cls is None:
-        return "unclassified"
-    if isinstance(cls, EventuallyConstant):
-        return f"constant {fmt_value(cls.value)}"
-    if isinstance(cls, PeriodicPattern):
-        return f"periodic {cls.period}"
-    if isinstance(cls, Unbounded):
-        return f"unbounded{cls.direction}"
-    if isinstance(cls, ConvergentNonconstant):
-        return "convergent"
-    if isinstance(cls, Irregular):
-        return "irregular"
-    raise TypeError(f"not a hyperreal class: {cls!r}")
+# Each verdict class, and None for too few halted stages: its JSON `class`,
+# its other JSON fields, and its corpus descriptor and text-report line,
+# two templates filled from the JSON fields.
+_VERDICTS = {
+    EventuallyConstant: (
+        "eventually-constant",
+        lambda c: {
+            "value": fmt_value(c.value), "stabilization_stage": c.stabilization_stage
+        },
+        "constant {value}",
+        "eventually constant {value} from stage {stabilization_stage}",
+    ),
+    PeriodicPattern: (
+        "periodic",
+        lambda c: {
+            "period": c.period,
+            "residues": {str(r): fmt_value(v) for r, v in sorted(c.residues.items())},
+            "ultrafilter_candidates": [
+                {"residue": r, "value": fmt_value(v)}
+                for r, v in hyperreal.ultrafilter_report(c)
+            ],
+            "note": "a nonprincipal ultrafilter concentrates on exactly one residue class",
+        },
+        "periodic {period}",
+        "periodic with period {period}",
+    ),
+    Unbounded: (
+        "unbounded", lambda c: {"direction": c.direction},
+        "unbounded{direction}", "unbounded ({direction})",
+    ),
+    ConvergentNonconstant: (
+        "convergent",
+        lambda c: {
+            "limit_estimate": fmt_value(c.limit_estimate),
+            "gap_trend": [fmt_rational(g) for g in c.gap_trend],
+        },
+        "convergent",
+        "convergent, limit estimate {limit_estimate}",
+    ),
+    Irregular: ("irregular", lambda c: {}, "irregular", "irregular"),
+    type(None): (
+        "insufficient-stages", lambda c: {},
+        "unclassified", "unclassified (insufficient stages)",
+    ),
+}
 
 
 def _verdict_dict(cls):
-    if cls is None:
-        return {"class": "insufficient-stages"}
-    part = hyperreal.standard_part(cls)
-    if isinstance(part, NoStandardPart):
-        part_json = {"none": part.reason}
-    else:
-        part_json = fmt_value(part)
-    if isinstance(cls, EventuallyConstant):
-        d = {
-            "class": "eventually-constant",
-            "value": fmt_value(cls.value),
-            "stabilization_stage": cls.stabilization_stage,
-        }
-    elif isinstance(cls, PeriodicPattern):
-        d = {
-            "class": "periodic",
-            "period": cls.period,
-            "residues": {str(r): fmt_value(v) for r, v in sorted(cls.residues.items())},
-            "ultrafilter_candidates": [
-                {"residue": r, "value": fmt_value(v)}
-                for r, v in hyperreal.ultrafilter_report(cls)
-            ],
-            "note": "a nonprincipal ultrafilter concentrates on exactly one residue class",
-        }
-    elif isinstance(cls, Unbounded):
-        d = {"class": "unbounded", "direction": cls.direction}
-    elif isinstance(cls, ConvergentNonconstant):
-        d = {
-            "class": "convergent",
-            "limit_estimate": fmt_value(cls.limit_estimate),
-            "gap_trend": [fmt_rational(g) for g in cls.gap_trend],
-        }
-    elif isinstance(cls, Irregular):
-        d = {"class": "irregular"}
-    else:
-        raise TypeError(f"not a hyperreal class: {cls!r}")
-    d["heuristic"] = cls.heuristic
-    d["standard_part"] = part_json
+    try:
+        name, fields, _, _ = _VERDICTS[type(cls)]
+    except KeyError:
+        raise TypeError(f"not a hyperreal class: {cls!r}") from None
+    d = {"class": name, **fields(cls)}
+    if cls is not None:
+        part = hyperreal.standard_part(cls)
+        d["heuristic"] = cls.heuristic
+        d["standard_part"] = (
+            {"none": part.reason} if isinstance(part, NoStandardPart) else fmt_value(part)
+        )
     return d
+
+
+def verdict_descriptor(cls):
+    """Compact form used by corpus expectation matching."""
+    d = _verdict_dict(cls)
+    return _VERDICTS[type(cls)][2].format(**d)
 
 
 def _status_dict(status):
@@ -209,7 +218,8 @@ class Report:
         lines.append("outputs:")
         for var, vd in d["outputs"].items():
             tag = " [HEURISTIC]" if vd.get("heuristic") else ""
-            lines.append(f"  {var}: {_verdict_text(vd)}{tag}")
+            text = _VERDICTS[type(self.verdicts[var])][3].format(**vd)
+            lines.append(f"  {var}: {text}{tag}")
             part = vd.get("standard_part")
             if isinstance(part, dict):
                 lines.append(f"    standard part: none ({part['none']})")
@@ -223,34 +233,14 @@ class Report:
                     )
                 lines.append(f"    note: {vd['note']}")
         st = d["supertask"]
-        if st["metered"]:
-            lines.append(
-                f"supertask (metered): {st['metered']['class']}"
-                + (f" - {st['metered']['detail']}" if st["metered"]["detail"] else "")
-            )
-        if st["energy"]:
-            lines.append(
-                f"supertask (energy {st['energy_var']}): {st['energy']['class']}"
-                + (f" - {st['energy']['detail']}" if st["energy"]["detail"] else "")
-            )
+        energy = f"energy {st['energy_var']}"
+        for view, label in (("metered", "metered"), ("energy", energy)):
+            if st[view]:
+                detail = st[view]["detail"] and f" - {st[view]['detail']}"
+                lines.append(f"supertask ({label}): {st[view]['class']}{detail}")
         if d["warnings"]:
             lines.append("warnings:")
             for w in d["warnings"]:
                 lines.append(f"  - {w}")
         return "\n".join(lines) + "\n"
-
-
-def _verdict_text(vd):
-    c = vd["class"]
-    if c == "eventually-constant":
-        return f"eventually constant {vd['value']} from stage {vd['stabilization_stage']}"
-    if c == "periodic":
-        return f"periodic with period {vd['period']}"
-    if c == "unbounded":
-        return f"unbounded ({vd['direction']})"
-    if c == "convergent":
-        return f"convergent, limit estimate {vd['limit_estimate']}"
-    if c == "insufficient-stages":
-        return "unclassified (insufficient stages)"
-    return c
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import trend
 from .errors import InsufficientStages
-from .exactnum import fmt_rational
+from .exactnum import exact, fmt_rational
 
 GOOD, BAD, UNDETERMINED = "good", "bad", "undetermined"
 
@@ -32,7 +32,10 @@ class CostModel:
 
     def __post_init__(self):
         for name in PRICES:
-            if getattr(self, name) < 0:
+            price = getattr(self, name)
+            if type(price) is not Fraction:
+                object.__setattr__(self, name, price := exact(price))
+            if price < 0:
                 raise ValueError(f"{name} must be >= 0")
 
     def with_overrides(self, items):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS
+from whiledt import cli
 from whiledt.cli import main, parse_rational, parse_schedule
 from whiledt.report import fmt_rational, fmt_value
 from whiledt.semantics import DEFAULT_SCHEDULE
@@ -148,13 +149,36 @@ def test_run_usage_errors(tmp_path, capsys):
     prog = tmp_path / "stage_macro.whdt"
     prog.write_text("def F(u) -> w { w := u + infinity }\n"
                     + (CORPUS / "compute.whdt").read_text(encoding="utf-8"))
+    # and it runs with no oracle bound
+    oracle_prog = tmp_path / "oracle_macro.whdt"
+    oracle_prog.write_text("def F(u) -> w { w := u + floor(real3(A)) }\n"
+                           + (CORPUS / "compute.whdt").read_text(encoding="utf-8"))
+    compute = CORPUS / "compute.whdt"
+    finite = "a finite oracle expects finite:N,N,... with naturals N, got"
+    graph = "a graph oracle expects graph:MACRO:BOUND with a natural BOUND, got"
     for path, spec, message in (
         (prog, "A=graph:F:10", "macro 'F' reads dt or infinity, so its graph is not fixed"),
+        (oracle_prog, "A=graph:F:10",
+         "macro 'F' reads oracle A, but a graph macro runs with no oracle bound"),
+        # an oracle's numbers are naturals
+        (compute, "A=finite:1,x", f"{finite} 'finite:1,x'"),
+        (compute, "A=finite:-1", f"{finite} 'finite:-1'"),
+        (compute, "A=graph:SQ:x", f"{graph} 'graph:SQ:x'"),
+        (compute, "A=graph:SQ:-3", f"{graph} 'graph:SQ:-3'"),
         (CORPUS / "compute.whdt", "A=graph:SQ",
          "a graph oracle expects graph:MACRO:BOUND, got 'graph:SQ'"),
     ):
         code, out, err = run_cli(capsys, "run", str(path), "--input", "3", "--oracle", spec)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_finite_oracle_lists_keep_their_forms(capsys):
+    # blanks around and between items are skipped, as is an empty list
+    for spec, member in (("finite: 4 , 5", "1"), ("finite:1,,2", "0"), ("finite:", "0")):
+        code, out, err = run_cli(capsys, "run", corpus_file("decide.whdt"), "--input", "4",
+                                 "--oracle", f"A={spec}", "--stages", "0..7", "--report", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outputs"]["y"]["value"] == member
 
 
 def test_nesting_past_the_limit_is_a_usage_error(tmp_path, capsys):
@@ -314,6 +338,44 @@ def test_corpus_detects_corrupted_expectation(tmp_path, capsys):
     code, out, err = run_cli(capsys, "corpus", "--dir", str(tmp_path))
     assert code == 1
     assert "expected 'constant 4', got 'constant 3'" in out
+
+
+def test_corpus_headers_match_every_verdict_and_report_each_failure(tmp_path, capsys):
+    verdicts = (Path(__file__).parent / "golden" / "verdicts.whdt").read_text()
+    (tmp_path / "verdicts.whdt").write_text(
+        "# expect-input: 1/2\n# expect-stages: 0..7\n# expect-output: d = unbounded-\n"
+        "# expect-output: i = irregular\n# expect-supertask: good\n" + verdicts
+    )
+    (tmp_path / "short.whdt").write_text(
+        "# expect-stages: 0..3\n# expect-output: y = unclassified\n"
+        "# expect-supertask: unclassified\ninput; output y; y := dt\n"
+    )
+    # stage 2 divides by zero, so 7 of 8 stages halt: too few to classify
+    (tmp_path / "failing.whdt").write_text(
+        "# expect-input: 3\n# expect-stages: 0..7\n# expect-output: y = unclassified\n"
+        "# expect-supertask: bad\ninput x; output y; y := 1 / (x - infinity)\n"
+    )
+    results = {
+        p.name: cli.verify_corpus_file(p)[1] for p in sorted(tmp_path.glob("*.whdt"))
+    }
+    assert results == {
+        "failing.whdt": [
+            "not all stages halted",
+            "supertask: expected 'bad', got 'unclassified'",
+        ],
+        "short.whdt": [],
+        "verdicts.whdt": [],
+    }
+    code, out, err = run_cli(capsys, "corpus", "--dir", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert out == (
+        "failing.whdt   FAIL\n"
+        "               - not all stages halted\n"
+        "               - supertask: expected 'bad', got 'unclassified'\n"
+        "short.whdt     PASS\n"
+        "verdicts.whdt  PASS\n"
+        "2/3 corpus programs pass\n"
+    )
 
 
 def test_corpus_env_var_override(tmp_path, capsys, monkeypatch):

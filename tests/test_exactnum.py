@@ -18,6 +18,7 @@ from whiledt.exactnum import (
     Affine,
     Fuel,
     QueryRecorder,
+    SymExpr,
     add,
     cmp_holds,
     compare,
@@ -471,3 +472,61 @@ def test_affine_search_starts_at_the_digits_the_stage_holds(
         if want is not None:
             assert got == want == expected
             assert held.count == max(p, fresh.count)
+
+
+# Operand shapes for `add`, `sub` and `neg`: rationals, Affines on two
+# streams (coefficients drawn so that same-stream sums and differences
+# often cancel), and SymExprs over those.
+_STREAMS = (finite_stream("A", [1, 0, 1]), finite_stream("B", [0, 1]))
+_coeff = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2)])
+_affine_operand = st.builds(Affine, _small, _coeff, st.sampled_from(_STREAMS))
+_operand = st.recursive(
+    st.one_of(_small, _affine_operand),
+    lambda inner: st.builds(SymExpr, st.sampled_from("+-*"), inner, inner),
+    max_leaves=3,
+)
+
+
+def _expected_shape(op, a, b, affine):
+    """What `add` (op "+") and `sub` (op "-") return: two rationals fold,
+    and with `affine` a rational or a same-stream Affine folds into an
+    Affine, or into its rational offset when the coefficients cancel;
+    every other pair is a SymExpr over the operands themselves."""
+    apply = {"+": lambda x, y: x + y, "-": lambda x, y: x - y}[op]
+    if type(a) is Fraction and type(b) is Fraction:
+        return apply(a, b)
+    if affine:
+        if type(a) is Fraction and type(b) is Affine:
+            offset, coeff, stream = apply(a, b.offset), apply(0, b.coeff), b.stream
+        elif type(a) is Affine and type(b) is Fraction:
+            offset, coeff, stream = apply(a.offset, b), a.coeff, a.stream
+        elif type(a) is Affine and type(b) is Affine and a.stream is b.stream:
+            offset, coeff = apply(a.offset, b.offset), apply(a.coeff, b.coeff)
+            stream = a.stream
+        else:
+            return SymExpr(op, a, b)
+        return offset if coeff == 0 else Affine(offset, coeff, stream)
+    return SymExpr(op, a, b)
+
+
+def _assert_same_shape(got, want):
+    assert type(got) is type(want)
+    if type(want) is Fraction:
+        assert got == want
+    elif type(want) is Affine:
+        assert (got.offset, got.coeff) == (want.offset, want.coeff)
+        assert type(got.offset) is type(got.coeff) is Fraction
+        assert got.stream is want.stream
+    else:
+        assert got.op == want.op and got.den_prec == 0
+        for g, w in ((got.lhs, want.lhs), (got.rhs, want.rhs)):
+            assert g is w or type(g) is type(w) is Fraction and g == w
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operand, _operand, st.booleans())
+def test_add_sub_and_neg_build_the_expected_shapes(a, b, affine):
+    _assert_same_shape(add(a, b, affine=affine), _expected_shape("+", a, b, affine))
+    _assert_same_shape(sub(a, b, affine=affine), _expected_shape("-", a, b, affine))
+    # negation always folds an Affine, whatever the `affine` setting
+    _assert_same_shape(neg(a), _expected_shape("-", Fraction(0), a, True))

@@ -1,10 +1,12 @@
 """Reports pinned byte for byte against files under tests/golden/.
 
-The golden files hold the JSON report of every corpus program (as
-`whiledt corpus` verifies it) and of small programs whose outputs print
-exact values in their symbolic and error forms, and whose integral and
-non-integral rationals meet in division, floor, `J`, `infinity` and
-comparisons.  A change that moves a single byte of a report fails here.
+The golden files hold the JSON report (`<stem>.json`) and the text report
+(`<stem>.txt`) of every corpus program (as `whiledt corpus` verifies it)
+and of small programs whose outputs print exact values in their symbolic
+and error forms, whose integral and non-integral rationals meet in
+division, floor, `J`, `infinity` and comparisons, and whose verdicts
+include `irregular` and `unbounded -`.  A change that moves a single byte
+of either report fails here.
 
 To rewrite the files after an intended report change:
     PYTHONPATH=src python tests/test_golden.py
@@ -12,6 +14,7 @@ To rewrite the files after an intended report change:
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -36,7 +39,9 @@ RUNS = {
         ["--input", "0", "--oracle", "A=primes", "--cmp-fuel", "11", "--stages", "0..7"],
         0,
     ),
+    "verdicts": (["--input", "1/2", "--stages", "0..7"], 0),
 }
+STEMS = sorted([Path(name).stem for name in CORPUS_PROGRAMS] + list(RUNS))
 
 
 def corpus_report(name):
@@ -44,15 +49,23 @@ def corpus_report(name):
     return report.to_json()
 
 
-def run_json(path, flags):
+def run_json(path, flags, form="json"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["run", str(path), *flags, "--report", "json"])
+        code = cli.main(["run", str(path), *flags, "--report", form])
     return code, out.getvalue()
 
 
 def run_report(stem):
     return run_json(GOLDEN / f"{stem}.whdt", RUNS[stem][0])
+
+
+def text_report(stem):
+    """The text report of a golden run or of a corpus program."""
+    if stem in RUNS:
+        return run_json(GOLDEN / f"{stem}.whdt", RUNS[stem][0], "text")[1]
+    report, _ = cli.verify_corpus_file(CORPUS / f"{stem}.whdt")
+    return report.render_text()
 
 
 @pytest.mark.parametrize("name", CORPUS_PROGRAMS)
@@ -77,6 +90,24 @@ def test_run_report_matches_golden(stem):
     assert code == RUNS[stem][1]
 
 
+@pytest.mark.parametrize("stem", STEMS)
+def test_text_report_matches_golden(stem):
+    assert text_report(stem) == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+
+
+def test_golden_reports_cover_every_verdict_class():
+    classes = set()
+    for stem in STEMS:
+        report = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
+        for verdict in report["outputs"].values():
+            classes.add((verdict["class"], verdict.get("direction")))
+    assert classes == {
+        ("eventually-constant", None), ("periodic", None), ("convergent", None),
+        ("unbounded", "+"), ("unbounded", "-"), ("irregular", None),
+        ("insufficient-stages", None),
+    }
+
+
 def test_golden_reports_show_exact_values_in_both_forms():
     assert "SymExpr(SymExpr(Affine(0 + 1*primes) / Rat(3)) + Rat(1))" in (
         GOLDEN / "symbolic.json"
@@ -97,4 +128,6 @@ if __name__ == "__main__":
         )
     for stem in RUNS:
         (GOLDEN / f"{stem}.json").write_text(run_report(stem)[1], encoding="utf-8")
+    for stem in STEMS:
+        (GOLDEN / f"{stem}.txt").write_text(text_report(stem), encoding="utf-8")
     sys.exit(0)

@@ -1,5 +1,6 @@
 """Resource metering and supertask classification."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,18 @@ def test_fractional_costs_stay_exact():
     assert res.ledger.total == 2 * Fraction(1, 3) + 3 * (
         2 * Fraction(1, 3) + Fraction(1, 7)
     ) + Fraction(1, 7)
+
+
+def test_prices_are_exact_rationals():
+    # 0.1 is a binary float near 1/10; its ledger totals would be floats
+    with pytest.raises(TypeError, match=r"0\.1 is a binary float"):
+        CostModel(assign_cost=0.1)
+    program = parse("input; output y; y := 1; y := 2")
+    for price in (1, Fraction(1, 10), Decimal("0.1"), "1/10"):
+        model = CostModel(assign_cost=price, guard_cost=price)
+        res = eval_stage(program, [], StageContext.for_stage(0, cost_model=model))
+        assert type(res.ledger.total) is Fraction
+        assert res.ledger.total == 2 * Fraction(price)
 
 
 def test_classify_requires_enough_stages():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -459,3 +460,13 @@ y := u - x
         a = eval_stage(direct, [Fraction(2)], StageContext.for_stage(n))
         b = eval_stage(eliminated, [Fraction(2)], StageContext.for_stage(n))
         assert a.store["y"] == b.store["y"] == Fraction(n - 1)
+
+
+def test_inputs_are_exact_rationals():
+    # the float 0.1 is 3602879701896397/36028797018963968, not 1/10
+    program = parse("input x; output y; y := x * 10")
+    with pytest.raises(TypeError, match=r"0\.1 is a binary float"):
+        eval_stages(program, [0.1], range(8))
+    for x in (Fraction(1, 10), Decimal("0.1"), "0.1", "1/10"):
+        assert eval_stages(program, [x], range(8)).outputs["y"] == [Fraction(1)] * 8
+    assert eval_stages(program, [3], range(8)).outputs["y"] == [Fraction(30)] * 8
