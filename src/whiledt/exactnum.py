@@ -7,6 +7,9 @@ interval refinement: every enclosure is a closed rational interval that
 provably contains the true value, and refinement only ever shrinks it.
 Digit streams use base 3 with digits restricted to {0, 1}, so a stream's
 value lies in [0, 3/2] and partial sums approach it from below.
+The interval route walks expressions with explicit stacks, so it works at
+any expression depth, and the enclosures a stage computes are kept in its
+QueryRecorder and reused within that stage by the next refinement.
 
 Rationals are recognised by `type(x) is Fraction`.  Fraction derives from
 numbers.Rational, so isinstance against it goes through ABCMeta, and a
@@ -41,6 +44,11 @@ class QueryRecorder:
         self.prefix = {}  # stream name -> number of leading digits read
         self.members = set()
         self.count = 0
+        # (id(node), depth) -> (node, Interval) for each SymExpr enclosed by
+        # the current refinement and by the one before it; the node is held
+        # so that its id is not reused
+        self.enclosures = {}
+        self.previous = {}
 
     def record_member(self, key):
         if key not in self.members:
@@ -180,8 +188,48 @@ class SymExpr(ExactReal):
     # to exclude zero.  Not part of the value.
     den_prec: int = field(default=0, compare=False)
 
+    def __eq__(self, other):
+        """Structural equality, walked with an explicit stack so that it
+        works at any expression depth."""
+        if type(other) is not SymExpr:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is SymExpr and type(b) is SymExpr:
+                if a.op != b.op:
+                    return False
+                todo += ((a.rhs, b.rhs), (a.lhs, b.lhs))
+            elif type(a) is SymExpr or type(b) is SymExpr or a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        return _fold(self, hash, lambda op, lhs, rhs: hash((op, lhs, rhs)))
+
     def __repr__(self):
-        return f"SymExpr({value_repr(self.lhs)} {self.op} {value_repr(self.rhs)})"
+        return _fold(
+            self, value_repr, lambda op, lhs, rhs: f"SymExpr({lhs} {op} {rhs})"
+        )
+
+
+def _fold(x, leaf, node):
+    """Fold a value bottom-up, lhs before rhs, with an explicit stack:
+    `leaf(v)` for a rational or Affine, `node(op, lhs, rhs)` for a SymExpr
+    given its operands' results."""
+    done, todo = [], [(x, False)]
+    while todo:
+        v, ready = todo.pop()
+        if ready:
+            rhs = done.pop()
+            done.append(node(v.op, done.pop(), rhs))
+        elif type(v) is SymExpr:
+            todo += ((v, True), (v.rhs, False), (v.lhs, False))
+        else:
+            done.append(leaf(v))
+    return done[0]
 
 
 def value_repr(x):
@@ -285,7 +333,12 @@ def _decide(route, x, fuel, verdict, what):
     returns the answer, or None while the enclosure is undecided.  When
     the digit fuel runs out the loop raises UnresolvedComparison naming
     `what` was left undecided, the fuel and the last enclosure read.
+    The recorder keeps the SymExpr enclosures of this call and the one
+    before, so a stage holds no more than two calls' worth of them.
     """
+    rec = fuel.recorder
+    if rec.enclosures:
+        rec.previous, rec.enclosures = rec.enclosures, {}
     last = None
     try:
         for step, last in route(x, fuel):
@@ -340,19 +393,39 @@ def _affine_enclosure(x, m, fuel):
 
 
 def _enclose(x, j, fuel) -> Interval:
-    """Raw enclosure at refinement depth j (nested, shrinking in j)."""
-    if type(x) is Fraction:
-        return Interval(x, x)
-    if isinstance(x, Affine):
-        return _affine_enclosure(x, j + 1, fuel)
-    if isinstance(x, SymExpr):
-        li = _enclose(x.lhs, j, fuel)
-        if x.op == "/":
-            ri = _enclose(x.rhs, max(j, x.den_prec), fuel)
+    """Raw enclosure at refinement depth j (nested, shrinking in j).
+
+    The walk keeps its own stack and encloses lhs before rhs, so digits are
+    read in the order of the expression.  A SymExpr's enclosure at a depth
+    is kept in the stage's recorder, for this refinement and the next, and
+    read back from there: the digits it was made from are held by the
+    stage, so reading them again is free.
+    """
+    memo, previous = fuel.recorder.enclosures, fuel.recorder.previous
+    done, todo = [], [(x, j, False)]
+    while todo:
+        v, d, ready = todo.pop()
+        if ready:
+            rhs = done.pop()
+            iv = _combine(v.op, done.pop(), rhs)
+            memo[id(v), d] = (v, iv)
+            done.append(iv)
+        elif type(v) is Fraction:
+            done.append(Interval(v, v))
+        elif type(v) is Affine:
+            done.append(_affine_enclosure(v, d + 1, fuel))
+        elif type(v) is SymExpr:
+            key = id(v), d
+            hit = memo.get(key) or previous.get(key)
+            if hit is not None:
+                memo[key] = hit
+                done.append(hit[1])
+                continue
+            rd = max(d, v.den_prec) if v.op == "/" else d
+            todo += ((v, d, True), (v.rhs, rd, False), (v.lhs, d, False))
         else:
-            ri = _enclose(x.rhs, j, fuel)
-        return _combine(x.op, li, ri)
-    raise TypeError(f"not an ExactReal: {x!r}")
+            raise TypeError(f"not an ExactReal: {v!r}")
+    return done[0]
 
 
 def _combine(op, a, b):
@@ -361,6 +434,14 @@ def _combine(op, a, b):
     if op == "-":
         return Interval(a.lo - b.hi, a.hi - b.lo)
     if op == "*":
+        # An interval whose ends are one object is a point, as `_enclose`
+        # builds for a rational operand: scale the other side with two
+        # products, the ends the four-product rule picks, with no `min` or
+        # `max`, whose Fraction comparisons go through the numbers ABCs.
+        if a.lo is a.hi:
+            return _scale(a.lo, b)
+        if b.lo is b.hi:
+            return _scale(b.lo, a)
         prods = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
         return Interval(min(prods), max(prods))
     if op == "/":
@@ -371,6 +452,14 @@ def _combine(op, a, b):
         quots = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
         return Interval(min(quots), max(quots))
     raise ValueError(f"unknown operator {op!r}")
+
+
+def _scale(c, iv):
+    # c.numerator, not c itself: comparing a Fraction with 0 goes through
+    # the numbers ABCs
+    if c.numerator < 0:
+        return Interval(c * iv.hi, c * iv.lo)
+    return Interval(c * iv.lo, c * iv.hi)
 
 
 def refine(x, k, fuel_limit=DEFAULT_FUEL, recorder=None) -> Interval:

@@ -177,7 +177,7 @@ def macro_callable(defs, name):
                     f"macro {name!r} failed on input {x}: {res.status.kind}"
                 )
             out = res.store[program.outputs[0]]
-            if not isinstance(out, Fraction) or out.denominator != 1:
+            if not isinstance(out, Fraction) or out.denominator != 1 or out < 0:
                 raise EvalError(f"macro {name!r} returned a non-natural on {x}")
             cache[x] = int(out)
         return cache[x]

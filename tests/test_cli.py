@@ -414,6 +414,36 @@ def test_no_fast_path_flag(capsys):
     assert json.loads(out)["outputs"]["y"]["value"] == "1"
 
 
+def test_interval_route_decodes_past_the_recursion_limit(capsys):
+    # 1,200 shifts build a chain of SymExpr products deeper than Python's
+    # recursion limit; the interval route agrees with the fast path
+    ys = []
+    for route in ((), ("--no-fast-path",)):
+        code, out, err = run_cli(
+            capsys, "run", corpus_file("decide.whdt"), "--input", "1200",
+            "--oracle", "A=evens", "--stages", "0", "--report", "json", *route,
+        )
+        assert (code, err) == (0, "")
+        ys.append(json.loads(out)["stages"][0]["outputs"]["y"])
+    assert ys == ["1", "1"]
+
+
+def test_graph_macro_with_a_negative_output_is_refused(tmp_path, capsys):
+    prog = tmp_path / "negative.whdt"
+    prog.write_text("def F(u) -> w { w := 0 - u }\n"
+                    + (CORPUS / "compute.whdt").read_text(encoding="utf-8"))
+    code, out, err = run_cli(
+        capsys, "run", str(prog), "--input", "3", "--oracle", "A=graph:F:10",
+        "--stages", "0..3", "--fuel", "2000", "--report", "json",
+    )
+    assert code == 1
+    for stage in json.loads(out)["stages"]:
+        assert stage["halt"] == {
+            "status": "error", "error": "runtime-error",
+            "message": "macro 'F' returned a non-natural on 3",
+        }
+
+
 def test_report_renders_rationals_past_the_int_digit_limit():
     big = 7 * 10**4999 + 3  # 5,000 digits, past str(int)'s default limit
     digits = "7" + "0" * 4998 + "3"

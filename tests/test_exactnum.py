@@ -17,8 +17,10 @@ from whiledt.exactnum import (
     RAT_CMP,
     Affine,
     Fuel,
+    Interval,
     QueryRecorder,
     SymExpr,
+    _combine,
     add,
     cmp_holds,
     compare,
@@ -101,30 +103,127 @@ def test_refine_is_nested_in_k():
             prev = iv
 
 
+def _random_dag(rng):
+    """A random DAG over two 10-digit streams: sums, differences, products
+    and quotients of rationals and stream constants.  A symbolic divisor is
+    a stream minus 1/7, 1/10 or 1/100, which no stream value (a power-of-3
+    fraction) equals, so `div` certifies it after some refinement and the
+    quotient carries that depth as its `den_prec`."""
+    streams = [
+        oracle_const(finite_stream(f"S{i}", [rng.randint(0, 1) for _ in range(10)]))
+        for i in range(2)
+    ]
+
+    def rational(nonzero=False):
+        return exact(Fraction(rng.randint(1 if nonzero else -20, 20), rng.randint(1, 10)))
+
+    def leaf():
+        return rational() if rng.random() < 0.5 else rng.choice(streams)
+
+    def divisor():
+        if rng.random() < 0.5:
+            return rational(nonzero=True) * rng.choice((-1, 1))
+        shift = exact(Fraction(1, rng.choice((7, 10, 100))))
+        return sub(rng.choice(streams), shift, affine=rng.random() < 0.5)
+
+    x = leaf()
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice([add, sub, mul, div])
+        if op is div:
+            x = div(x, divisor())
+        else:
+            x = op(x, leaf()) if rng.random() < 0.5 else op(leaf(), x)
+    return x
+
+
 def test_enclosure_soundness_random_dags():
     # The brute-force value of a finite-stream DAG always lies inside every
     # enclosure the refiner produces.
     rng = random.Random(2024)
     for _ in range(60):
-        streams = [
-            oracle_const(
-                finite_stream(f"S{i}", [rng.randint(0, 1) for _ in range(10)])
-            )
-            for i in range(2)
-        ]
-
-        def leaf():
-            if rng.random() < 0.5:
-                return exact(Fraction(rng.randint(-20, 20), rng.randint(1, 10)))
-            return rng.choice(streams)
-
-        x = leaf()
-        for _ in range(rng.randint(1, 4)):
-            op = rng.choice([add, sub, mul])
-            x = op(x, leaf()) if rng.random() < 0.5 else op(leaf(), x)
+        x = _random_dag(rng)
         truth = true_value(x)
         for k in (0, 2, 5, 8):
             assert truth in refine(x, k)
+
+
+def _streams_of(x):
+    if type(x) is Affine:
+        return [x.stream]
+    if type(x) is SymExpr:
+        return _streams_of(x.lhs) + _streams_of(x.rhs)
+    return []
+
+
+def _copy(recorder, enclosures):
+    copy = QueryRecorder()
+    copy.prefix, copy.members = dict(recorder.prefix), set(recorder.members)
+    copy.count = recorder.count
+    if enclosures:
+        copy.enclosures = dict(recorder.enclosures)
+        copy.previous = dict(recorder.previous)
+    return copy
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except UnresolvedComparison as e:
+        return "refused", str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_stage_held_enclosures_change_no_verdict_and_no_count(rng):
+    # Enclosures a stage made earlier are read back instead of recomputed.
+    # After random earlier reads, every operation answers or refuses as it
+    # does on the same stage state with those enclosures dropped, and
+    # leaves the same digit counts behind.
+    x = _random_dag(rng)
+    held = QueryRecorder()
+    streams = _streams_of(x)
+    for _ in range(rng.randint(0, 3)):
+        if streams and rng.random() < 0.3:
+            rng.choice(streams).prefix_sum(rng.randint(0, 12), Fuel(12, held))
+        else:
+            _outcome(lambda: refine(x, rng.randint(0, 6), rng.randint(1, 30), held))
+    fuel, c = rng.randint(1, 40), exact(Fraction(rng.randint(-30, 30), rng.randint(1, 6)))
+    op, k = rng.choice(sorted(RAT_CMP)), rng.randint(0, 8)
+    calls = (
+        lambda rec: floor_value(x, fuel, rec),
+        lambda rec: cmp_holds(op, x, c, fuel, rec),
+        lambda rec: refine(x, k, fuel, rec),
+    )
+    for call in calls:
+        warm, cold = _copy(held, True), _copy(held, False)
+        assert _outcome(lambda: call(warm)) == _outcome(lambda: call(cold))
+        assert (warm.count, warm.prefix) == (cold.count, cold.prefix)
+
+
+def test_stage_held_enclosures_do_not_grow_with_the_number_of_guards():
+    # Every guard builds a new node for a - 1/2.  The stage keeps only the
+    # enclosures of the last two refinements, however many guards it runs.
+    s, t = (oracle_const(finite_stream(n, [1, 0] * 8)) for n in "ST")
+    a, half, rec = mul(s, t), exact(Fraction(1, 2)), QueryRecorder()
+    held = []
+    for n in range(1, 201):
+        assert cmp_holds(">", a, half, recorder=rec)
+        if n in (10, 200):
+            held.append(len(rec.enclosures) + len(rec.previous))
+    assert type(a) is SymExpr and held[0] == held[1]
+
+
+_end = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(Fraction(0)), _end), _end, _end, st.booleans())
+def test_scaling_by_a_rational_gives_the_four_product_ends(c, p, q, left):
+    # a rational operand encloses as the point Interval(c, c)
+    point, iv = Interval(c, c), Interval(min(p, q), max(p, q))
+    a, b = (point, iv) if left else (iv, point)
+    prods = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    assert _combine("*", a, b) == Interval(min(prods), max(prods))
 
 
 def test_compare_symbolic_against_rational():

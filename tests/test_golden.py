@@ -121,6 +121,29 @@ def test_golden_reports_show_exact_values_in_both_forms():
     ).read_text(encoding="utf-8")
 
 
+def test_reports_print_values_deeper_than_the_recursion_limit(tmp_path):
+    # `output a` after 1,200 shifts: the value is a chain of 1,200 SymExpr
+    # products, which the report prints in full and classifies as constant
+    prog = tmp_path / "deep.whdt"
+    prog.write_text(
+        "input x; output a; a := real3(A);"
+        " while x != 0 do { a := 3 * a; x := x - 1 }\n"
+    )
+    flags = ["--input", "1200", "--oracle", "A=evens", "--no-fast-path", "--stages", "0..7"]
+    value = "symbolic:" + "SymExpr(Rat(3) * " * 1200 + "Affine(0 + 1*evens)" + ")" * 1200
+    code, out = run_json(prog, flags)
+    report = json.loads(out)
+    assert code == 0
+    assert [stage["outputs"]["a"] for stage in report["stages"]] == [value] * 8
+    assert report["outputs"]["a"] == {
+        "class": "eventually-constant", "value": value, "stabilization_stage": 0,
+        "heuristic": False, "standard_part": {"none": "symbolic value"},
+    }
+    code, out = run_json(prog, flags, "text")
+    assert code == 0
+    assert f"  a: eventually constant {value} from stage 0\n" in out
+
+
 if __name__ == "__main__":
     for name in CORPUS_PROGRAMS:
         (GOLDEN / f"{Path(name).stem}.json").write_text(
