@@ -26,15 +26,11 @@ from .errors import (
     WhdtError,
 )
 from .exactnum import (
-    EQ,
-    GT,
-    LT,
     Affine,
     ExactReal,
     Interval,
     OracleReal,
     SymExpr,
-    compare,
     exact,
     floor_value,
     oracle_const,
@@ -58,7 +54,6 @@ from .oracles import (
     builtin_set,
     cantor_pair,
     cantor_unpair,
-    encode_set,
     finite_set,
     graph_oracle,
     macro_callable,

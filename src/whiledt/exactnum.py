@@ -27,8 +27,6 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, OracleQueryLimit, UnresolvedComparison
 
-LT, EQ, GT = "LT", "EQ", "GT"
-
 # Budget of new digit queries for a single comparison / floor / divisor check.
 DEFAULT_FUEL = 4096
 
@@ -138,7 +136,10 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        # cross-multiplied (denominators are positive): comparing two
+        # Fractions goes through the numbers ABCs
+        lo, hi = self.lo, self.hi
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
 
     @property
@@ -475,28 +476,6 @@ def refine(x, k, fuel_limit=DEFAULT_FUEL, recorder=None) -> Interval:
     )
 
 
-def _sign(_, iv):
-    return GT if iv.lo > 0 else LT if iv.hi < 0 else None
-
-
-def compare(a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
-    """Three-way exact comparison.
-
-    EQ is returned only for equal rationals or structurally identical
-    expressions; numerically equal but distinct symbolic values refine
-    forever and surface as UnresolvedComparison.
-    """
-    a, b = _coerce(a), _coerce(b)
-    # values of different types are never equal, and Fraction.__eq__ takes
-    # a slow path through the numbers ABCs to say so
-    if type(a) is type(b) and a == b:
-        return EQ
-    d = sub(a, b)
-    if type(d) is Fraction:
-        return LT if d < 0 else GT if d > 0 else EQ
-    return _decide(_enclosures, d, Fuel(fuel_limit, recorder), _sign, "comparison")
-
-
 # The six comparison operators on rationals, and on an enclosure [lo, hi]
 # of lhs - rhs: True or False once the enclosure decides, else None.  `=`
 # can only ever be refuted numerically, and `!=` only confirmed.
@@ -521,13 +500,18 @@ _ENCLOSURE_CMP = {
 def cmp_holds(op, a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     """Certified truth value of `a op b`.
 
-    Unlike compare(), this resolves one-sided cases exactly: for example
-    `x >= 1` is certified true as soon as the enclosure's closed lower end
-    reaches 1, even when x may equal 1 exactly.
+    One-sided cases resolve exactly: for example `x >= 1` is certified
+    true as soon as the enclosure's closed lower end reaches 1, even when
+    x may equal 1 exactly.  Equality is known only for equal rationals or
+    structurally identical expressions: `=` or `!=` on numerically equal
+    but distinct symbolic values refines until the budget runs out and
+    surfaces as UnresolvedComparison.
     """
     if op not in RAT_CMP:
         raise ValueError(f"unknown comparison operator {op!r}")
     a, b = _coerce(a), _coerce(b)
+    # values of different types are never equal, and Fraction.__eq__ takes
+    # a slow path through the numbers ABCs to say so
     if type(a) is type(b) and a == b:
         return op in ("<=", ">=", "=")
     d = sub(a, b)

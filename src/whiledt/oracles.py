@@ -37,18 +37,14 @@ class OracleSet:
         return 1 if v else 0
 
     def real(self) -> OracleReal:
-        """The encoded constant; one shared stream per set."""
+        """The encoded constant, one shared stream per set: digit i is
+        chi_A(i), so the value lies in [0, 3/2]."""
         if self._real is None:
             self._real = OracleReal(self.name, self.member)
         return self._real
 
     def __repr__(self):
         return f"OracleSet({self.name!r}, {self.source})"
-
-
-def encode_set(a: OracleSet) -> OracleReal:
-    """Digit stream i -> chi_A(i); represented value lies in [0, 3/2]."""
-    return a.real()
 
 
 def _is_prime(n):
@@ -210,7 +206,6 @@ def run_limit(spec: LimitSpec, x, schedule, oracles=None, **kw):
         body=syntax.Assign(
             "y", syntax.Call(spec.name, (syntax.Infinity(), syntax.Var("x")))
         ),
-        oracles=frozenset(),
     )
     program = syntax.expand_macros(spec.defs, main)
     return eval_stages(program, [x], schedule, oracles=oracles, **kw)

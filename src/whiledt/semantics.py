@@ -188,8 +188,7 @@ def eval_stages(
     A program that reads no `dt`, `infinity` or oracle (whose membership
     test is an arbitrary callable) and has no symbolic input computes the
     same thing at every stage, so it is evaluated once and that one
-    StageResult is reported at every stage.  A Program that
-    `syntax.expand_macros` did not build runs at every stage."""
+    StageResult is reported at every stage."""
     schedule = list(schedule)
     if not schedule:
         raise ValueError("schedule must be nonempty")
@@ -239,9 +238,7 @@ def eval_stages(
 
 _RATIONAL = (int, Fraction)
 _RAT_ARITH = {op: apply for op, (_, apply) in syntax.ARITH_OPS.items()}
-# exactnum's functions by name, looked up at each call so that a wrapper
-# put on the module attribute sees the call
-_SYM_ARITH = {"+": "add", "-": "sub", "*": "mul"}
+_SYM_ARITH = {"+": exactnum.add, "-": exactnum.sub, "*": exactnum.mul}
 
 
 def _rat(value):
@@ -321,7 +318,7 @@ def _binop(expr, store, run):
             raise DivisionByZero("division by zero") from None
     a, b, affine = _fraction(a), _fraction(b), run.ctx.use_fast_path
     if op != "/":
-        return _rat(getattr(exactnum, _SYM_ARITH[op])(a, b, affine=affine))
+        return _rat(_SYM_ARITH[op](a, b, affine=affine))
     return _rat(
         exactnum.div(
             a, b, affine=affine, fuel_limit=run.ctx.cmp_fuel, recorder=run.recorder

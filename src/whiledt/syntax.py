@@ -23,6 +23,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 
 from .errors import (
@@ -219,16 +220,34 @@ class While(Command):
 
 @dataclass(frozen=True)
 class Program:
-    """A main program or a subprogram definition.  `expand_macros` records
-    the oracles the body reads and whether it reads `dt` or `infinity`; the
-    parser leaves `oracles` empty and `reads_stage` True, so a Program that
-    expand_macros did not build runs at every stage."""
+    """A main program or a subprogram definition.  `oracles` and
+    `reads_stage` describe what its body reads; they are found by one walk
+    of the body, on first use."""
 
     inputs: tuple
     outputs: tuple
     body: Command
-    oracles: frozenset = frozenset()
-    reads_stage: bool = True
+
+    @cached_property
+    def _reads(self):
+        oracles, reads_stage = set(), False
+        for n in walk(self.body):
+            cls = type(n)
+            if cls is OracleRealConst or cls is MemberOf:
+                oracles.add(n.oracle)
+            elif cls is Dt or cls is Infinity:
+                reads_stage = True
+        return frozenset(oracles), reads_stage
+
+    @property
+    def oracles(self):
+        """The names of the oracles the body reads."""
+        return self._reads[0]
+
+    @property
+    def reads_stage(self):
+        """Whether the body reads `dt` or `infinity`."""
+        return self._reads[1]
 
 
 # The fields that hold subnodes, per node class: those annotated with a
@@ -423,10 +442,10 @@ class _Parser:
             self.expect("(")
             params = []
             if self.peek().kind != ")":
-                params.append(self.ident("parameter"))
+                self.param(params)
                 while self.peek().kind == ",":
                     self.advance()
-                    params.append(self.ident("parameter"))
+                    self.param(params)
             self.expect(")")
             self.expect("->")
             out = self.ident("output variable")
@@ -441,6 +460,15 @@ class _Parser:
                 f"unexpected {tok.text!r} after program end", tok.line, tok.col
             )
         return defs, main
+
+    def param(self, params):
+        """Append the next parameter name to `params`; a repeated name is a
+        ParseError at its token."""
+        tok = self.peek()
+        name = self.ident("parameter")
+        if name in params:
+            raise ParseError(f"duplicate parameter {name!r}", tok.line, tok.col)
+        params.append(name)
 
     def program(self):
         self.expect("input")
@@ -657,8 +685,7 @@ def parse(source) -> Program:
 
 
 def expand_macros(defs, main) -> Program:
-    """Inline all macro calls, call-by-value into fresh variables, and
-    record what the expanded program reads (see `Program`).
+    """Inline all macro calls, call-by-value into fresh variables.
 
     The parser accepts a call only as a whole right-hand side; a
     hand-built call anywhere else but inside call arguments is left for
@@ -671,14 +698,7 @@ def expand_macros(defs, main) -> Program:
         taken |= names
     counter = [0]
     body = _expand_cmd(main.body, macros, frozenset(), counter, taken)
-    oracles, reads_stage = set(), False
-    for n in walk(body):
-        cls = type(n)
-        if cls is OracleRealConst or cls is MemberOf:
-            oracles.add(n.oracle)
-        elif cls is Dt or cls is Infinity:
-            reads_stage = True
-    return Program(main.inputs, main.outputs, body, frozenset(oracles), reads_stage)
+    return Program(main.inputs, main.outputs, body)
 
 
 def _expand_cmd(cmd, macros, stack, counter, taken):

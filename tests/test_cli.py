@@ -218,6 +218,11 @@ def test_run_parse_error_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(bad))
     assert code == 1
     assert "expected an expression" in err
+    # a repeated parameter used to let the last argument win: y was 2
+    bad.write_text("def F(a, a) -> r { r := a }\ninput; output y; y := F(1, 2)\n")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: 1:10: duplicate parameter 'a'\n"
 
 
 def test_characters_outside_the_token_classes_exit_one(tmp_path, capsys):

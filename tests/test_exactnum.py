@@ -11,9 +11,6 @@ from hypothesis import strategies as st
 from conftest import finite_stream, stream_value, true_value
 from whiledt.errors import DivisionByZero, OracleQueryLimit, UnresolvedComparison
 from whiledt.exactnum import (
-    EQ,
-    GT,
-    LT,
     RAT_CMP,
     Affine,
     Fuel,
@@ -23,7 +20,6 @@ from whiledt.exactnum import (
     _combine,
     add,
     cmp_holds,
-    compare,
     div,
     exact,
     floor_value,
@@ -33,7 +29,7 @@ from whiledt.exactnum import (
     refine,
     sub,
 )
-from whiledt.oracles import builtin_set, encode_set
+from whiledt.oracles import builtin_set
 
 
 def frac(*args):
@@ -45,9 +41,9 @@ def test_rational_add():
 
 
 def test_rational_compare():
-    assert compare(exact("37/10"), exact(3)) == GT
-    assert compare(exact(3), exact("37/10")) == LT
-    assert compare(exact("2/4"), exact("1/2")) == EQ
+    assert cmp_holds(">", exact("37/10"), exact(3)) is True
+    assert cmp_holds("<", exact(3), exact("37/10")) is True
+    assert cmp_holds("=", exact("2/4"), exact("1/2")) is True
 
 
 def test_division_by_zero():
@@ -80,7 +76,7 @@ def test_refine_enclosure_frozen_example():
 def test_refine_scaled_oracle_enclosure():
     # 3 * value(evens-stream): true value 3 * 9/8 = 27/8 = 3.375; at k=4
     # the enclosure must drop inside (3.33, 3.38).
-    r = oracle_const(encode_set(builtin_set("evens")))
+    r = oracle_const(builtin_set("evens").real())
     x = mul(exact(3), r)
     iv = refine(x, 4)
     assert iv.width <= frac(1, 81)
@@ -230,13 +226,14 @@ def test_compare_symbolic_against_rational():
     # value(A) <= 3/2 < 2 always, whatever the digits.
     for digits in ([1] * 16, [0] * 16, [1, 0] * 8):
         r = oracle_const(finite_stream("A", digits))
-        assert compare(r, exact(2)) == LT
+        assert cmp_holds("<", r, exact(2)) is True
 
 
 def test_compare_identical_dags_is_eq():
     r = oracle_const(finite_stream("A", [1, 0, 1]))
     x = mul(exact(3), r)
-    assert compare(x, mul(exact(3), r)) == EQ
+    assert cmp_holds("=", x, mul(exact(3), r)) is True
+    assert cmp_holds("!=", x, mul(exact(3), r)) is False
 
 
 def test_compare_unresolved_against_own_partial_sum():
@@ -247,7 +244,7 @@ def test_compare_unresolved_against_own_partial_sum():
     r = oracle_const(finite_stream("evenish", digits))
     partial = exact(stream_value(digits))
     with pytest.raises(UnresolvedComparison) as exc:
-        compare(r, partial)
+        cmp_holds("=", r, partial)
     assert exc.value.fuel == 4096
 
 
@@ -260,8 +257,8 @@ def test_compare_never_contradicts_true_values():
         truth = true_value(r)
         if truth == q:
             continue  # equality of distinct representations never resolves
-        got = compare(r, exact(q))
-        assert got == (LT if truth < q else GT)
+        for op, holds in RAT_CMP.items():
+            assert cmp_holds(op, r, exact(q)) is holds(truth, q)
 
 
 def test_cmp_holds_one_sided_at_closed_boundary():
@@ -383,16 +380,15 @@ def test_compare_strict_order_sample():
     vals = [exact(Fraction(rng.randint(-40, 40), rng.randint(1, 12))) for _ in range(30)]
     for a in vals:
         for b in vals:
-            got = compare(a, b)
-            if got == LT:
-                assert compare(b, a) == GT
-            elif got == EQ:
+            if cmp_holds("<", a, b):
+                assert cmp_holds(">", b, a)
+            elif cmp_holds("=", a, b):
                 assert a == b
     # transitivity on a sorted triple sample
     for _ in range(200):
         a, b, c = sorted(rng.sample(vals, 3))
-        if compare(a, b) == LT and compare(b, c) == LT:
-            assert compare(a, c) == LT
+        if cmp_holds("<", a, b) and cmp_holds("<", b, c):
+            assert cmp_holds("<", a, c)
 
 
 # The one refinement loop: every caller's refusal, and agreement with the
@@ -407,11 +403,6 @@ def _exactly_one():
     "call, message",
     [
         # the affine route reads one digit a step, 10 in all: 3/2 * 3**-10
-        (
-            lambda r: compare(r, exact(1), 10),
-            "comparison unresolved after 10 digit queries;"
-            " last enclosure [0, 1/39366]",
-        ),
         (
             lambda r: cmp_holds(">", r, exact(1), 10),
             "guard `>` unresolved after 10 digit queries;"
@@ -440,7 +431,7 @@ def _exactly_one():
             " last enclosure [1, 39367/39366]",
         ),
     ],
-    ids=["compare", "cmp_holds", "floor-affine", "floor-general", "div", "refine"],
+    ids=["cmp_holds", "floor-affine", "floor-general", "div", "refine"],
 )
 def test_refusal_messages(call, message):
     with pytest.raises(UnresolvedComparison) as exc:
@@ -487,8 +478,6 @@ def _check_against_truth(a, b, affine):
     for op in RAT_CMP:
         got = _resolved(lambda: cmp_holds(op, a, b, PROPERTY_FUEL))
         assert got in (None, RAT_CMP[op](va, vb))
-    got = _resolved(lambda: compare(a, b, PROPERTY_FUEL))
-    assert got in (None, LT if va < vb else GT if va > vb else EQ)
     got = _resolved(lambda: floor_value(a, PROPERTY_FUEL))
     assert got in (None, Fraction(math.floor(va)))
     for k in (0, 3, 8):
@@ -533,7 +522,6 @@ def test_rationals_are_plain_fractions(a, b, affine):
         cases.append((div(a, b, affine=affine), a / b))
     for got, expected in cases:
         assert type(got) is Fraction and got == expected
-    assert compare(a, b) == (LT if a < b else GT if a > b else EQ)
     for op, holds in RAT_CMP.items():
         assert cmp_holds(op, a, b) is holds(a, b)
 

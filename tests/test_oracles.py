@@ -13,7 +13,6 @@ from whiledt.oracles import (
     builtin_set,
     cantor_pair,
     cantor_unpair,
-    encode_set,
     finite_set,
     graph_oracle,
     macro_callable,
@@ -33,7 +32,7 @@ def test_builtin_membership():
 
 def test_encode_empty_set_is_zero():
     empty = finite_set("empty", [])
-    r = encode_set(empty)
+    r = empty.real()
     assert all(r.digit(i) == 0 for i in range(20))
     iv = refine(oracle_const(r), 8)
     assert iv.lo == 0 and iv.hi <= Fraction(1, 3**8)
@@ -41,7 +40,7 @@ def test_encode_empty_set_is_zero():
 
 def test_encode_full_set_is_three_halves():
     all_ones = finite_set("all", range(200))
-    r = encode_set(all_ones)
+    r = all_ones.real()
     # partial sums of the all-ones stream: (3/2)(1 - 3**-m)
     s = sum(Fraction(1, 3**i) for i in range(60))
     assert s == Fraction(3, 2) * (1 - Fraction(1, 3**60))
@@ -51,7 +50,7 @@ def test_encode_full_set_is_three_halves():
 
 def test_encode_evens_value():
     # digits (1,0,1,0,...): value sum 3**-2k = 9/8.
-    r = oracle_const(encode_set(builtin_set("evens")))
+    r = oracle_const(builtin_set("evens").real())
     for k in (2, 5, 9):
         assert Fraction(9, 8) in refine(r, k)
     assert refine(r, 9).width <= Fraction(1, 3**9)

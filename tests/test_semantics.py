@@ -19,7 +19,7 @@ from whiledt.semantics import (
     eval_stage,
     eval_stages,
 )
-from whiledt.syntax import Program, parse
+from whiledt.syntax import Program, parse, parse_module
 
 SMALL_SCHEDULE = list(range(8))
 
@@ -321,10 +321,26 @@ def test_only_stage_invariant_programs_are_evaluated_once(stage_calls, path):
     calls = sum(args[0] is program for args in stage_calls)
     # floor.whdt is the one corpus program that reads no dt, infinity or oracle
     assert calls == (1 if path.name == "floor.whdt" else len(SMALL_SCHEDULE))
-    # a Program that expand_macros did not build runs at every stage
-    rebuilt = Program(program.inputs, program.outputs, program.body, program.oracles)
+    # a Program built by hand reads what its body reads, so it is shared alike
+    rebuilt = Program(program.inputs, program.outputs, program.body)
     eval_stages(rebuilt, run["inputs"], SMALL_SCHEDULE, run["binding"])
-    assert sum(args[0] is rebuilt for args in stage_calls) == len(SMALL_SCHEDULE)
+    assert sum(args[0] is rebuilt for args in stage_calls) == calls
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "input; output y; y := floor(real3(A))",
+        "input; output y; y := 0; if 3 in A then y := 1",
+    ],
+)
+def test_unexpanded_program_with_an_unbound_oracle_is_refused_at_every_stage(source):
+    # the parser's Program, not only expand_macros', knows the oracle it reads
+    _, main = parse_module(source)
+    seq = eval_stages(main, [], SMALL_SCHEDULE)
+    assert {(s.kind, s.error, s.message) for s in seq.statuses} == {
+        ("error", "unknown-oracle", "program requires unbound oracle(s): A")
+    }
 
 
 def test_symbolic_input_is_evaluated_per_stage(stage_calls):

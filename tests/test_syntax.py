@@ -156,6 +156,14 @@ def test_parse_error_has_location_and_expectations():
     assert ";" in exc.value.expected
 
 
+def test_repeated_parameter_is_a_parse_error():
+    # the last argument used to win silently: y was 2 at every stage
+    with pytest.raises(ParseError) as exc:
+        parse("def F(a, b, a) -> r { r := a }\ninput; output y; y := F(1, 2, 3)")
+    assert str(exc.value) == "1:13: duplicate parameter 'a'"
+    assert (exc.value.line, exc.value.col) == (1, 13)
+
+
 def test_membership_only_in_guards():
     p = parse("input x; output y; y := 0; while not (J(x, y) in A) do y := y + 1")
     assert p.oracles == frozenset({"A"})
@@ -444,16 +452,20 @@ def test_macro_nested_in_argument_rejected():
 @given(program_sources())
 def test_expanded_oracles_are_the_ones_the_body_reads(source):
     defs, main = parse_module(source)
-    assert main.oracles == frozenset()  # filled in by expand_macros
-    program = expand_macros(defs, main)
-    assert program.oracles == {
-        n.oracle for n in walk(program.body) if isinstance(n, (OracleRealConst, MemberOf))
-    }
-    # and whether it reads the stage, which the parser leaves unknown (True)
-    assert main.reads_stage
-    assert program.reads_stage == any(
-        isinstance(n, (Dt, Infinity)) for n in walk(program.body)
-    )
+    expanded = expand_macros(defs, main)
+    # parsed and expanded alike: each Program reports its own body's reads
+    for program in (main, expanded):
+        assert program.oracles == {
+            n.oracle
+            for n in walk(program.body)
+            if isinstance(n, (OracleRealConst, MemberOf))
+        }
+        assert program.reads_stage == any(
+            isinstance(n, (Dt, Infinity)) for n in walk(program.body)
+        )
+    # expansion keeps every read of the main body and adds the macros'
+    assert main.oracles <= expanded.oracles
+    assert main.reads_stage <= expanded.reads_stage
 
 
 def test_hand_built_calls_outside_a_right_hand_side_are_refused_at_evaluation():
