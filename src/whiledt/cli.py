@@ -384,7 +384,8 @@ def build_arg_parser():
                      help="key = value file with cost model settings")
     run.add_argument("--report", choices=("text", "json"), default="text")
     run.add_argument("--no-fast-path", action="store_true",
-                     help="disable the digit fast path; pure interval refinement")
+                     help="fold no arithmetic on oracle constants into an Affine; a bare "
+                          "constant or its negation still refines digit by digit")
     run.set_defaults(func=cmd_run)
     corpus = sub.add_parser("corpus", help="verify the bundled corpus")
     corpus.add_argument("--dir", help=f"corpus directory (or ${CORPUS_ENV})")

@@ -2,7 +2,9 @@
 
 A value is either a rational, held as a plain `fractions.Fraction`, or a
 symbolic expression (`Affine`, `SymExpr`) over rationals and named
-ternary digit streams.  Symbolic values are compared and floored by
+ternary digit streams.  `_node` is the one constructor of arithmetic
+results, and the only code that builds a SymExpr: `add`, `sub`, `mul`,
+`div` and `neg` all call it.  Symbolic values are compared and floored by
 interval refinement: every enclosure is a closed rational interval that
 provably contains the true value, and refinement only ever shrinks it.
 Digit streams use base 3 with digits restricted to {0, 1}, so a stream's
@@ -11,7 +13,7 @@ The interval route walks expressions with explicit stacks, so it works at
 any expression depth, and the enclosures a stage computes are kept in its
 QueryRecorder and reused within that stage by the next refinement.
 
-Rationals are recognised by `type(x) is Fraction`.  Fraction derives from
+Value kinds are told apart by `type(x) is`.  Fraction derives from
 numbers.Rational, so isinstance against it goes through ABCMeta, and a
 test that fails, as it does for every symbolic value, costs about ten
 times as much.
@@ -154,9 +156,9 @@ class Interval:
 
 
 class ExactReal:
-    """Base class of the symbolic values.  They are combined with each
-    other and with Fractions by the module functions `add`, `sub`, `mul`,
-    `div` and `neg`."""
+    """Base class of the symbolic values.  `_node`, their one constructor,
+    combines them with each other and with Fractions for the module
+    functions `add`, `sub`, `mul`, `div` and `neg`."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,58 +252,58 @@ def oracle_const(stream: OracleReal) -> Affine:
     return Affine(Fraction(0), Fraction(1), stream)
 
 
-def _coerce(x):
-    if type(x) is Fraction or isinstance(x, ExactReal):
-        return x
-    raise TypeError(f"cannot use {type(x).__name__} as ExactReal")
+_KINDS = frozenset((Fraction, Affine, SymExpr))
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _kind(x):
+    """x's type: Fraction, Affine or SymExpr.  Anything else is refused."""
+    kind = type(x)
+    if kind not in _KINDS:
+        raise TypeError(f"cannot use {kind.__name__} as ExactReal")
+    return kind
 
 
 def _affine(offset, coeff, stream):
-    if coeff == 0:
-        return offset
-    return Affine(offset, coeff, stream)
+    return offset if coeff == 0 else Affine(offset, coeff, stream)
 
 
-def _add_sub(op, a, b, affine):
-    """`a + b` or `a - b`: two rationals fold, and with `affine` a rational
-    or a same-stream Affine folds into an Affine (or into its offset when
-    the coefficients cancel).  Anything else is a SymExpr."""
-    f = operator.add if op == "+" else operator.sub
-    if type(a) is Fraction and type(b) is Fraction:
+def _node(op, a, b, affine=True, den_prec=0):
+    """`a op b`, the one constructor of arithmetic results.  Two rationals
+    fold.  With `affine`, a rational is the Affine with coefficient 0, and
+    an affine result folds into an Affine (or its offset, when the
+    coefficients cancel): `+` and `-` with at most one stream or a shared
+    one, `*` by a rational and `/` by a rational divisor.  `0 * x` is 0.
+    Any other pair is a SymExpr; `den_prec` is a `/` node's divisor depth."""
+    ka, kb, f = _kind(a), _kind(b), _ARITH[op]
+    if ka is Fraction and kb is Fraction:
         return f(a, b)
-    if affine:
-        if type(a) is Fraction and type(b) is Affine:
-            return _affine(f(a, b.offset), f(0, b.coeff), b.stream)
-        if type(a) is Affine and type(b) is Fraction:
-            return _affine(f(a.offset, b), a.coeff, a.stream)
-        if type(a) is Affine and type(b) is Affine and a.stream is b.stream:
-            return _affine(f(a.offset, b.offset), f(a.coeff, b.coeff), a.stream)
-    return SymExpr(op, a, b)
+    if affine and ka is not SymExpr and kb is not SymExpr:
+        oa, ca, sa = (a, 0, None) if ka is Fraction else (a.offset, a.coeff, a.stream)
+        ob, cb, sb = (b, 0, None) if kb is Fraction else (b.offset, b.coeff, b.stream)
+        if op in "+-" and (sa is None or sb is None or sa is sb):
+            return _affine(f(oa, ob), ca if sb is None else f(ca, cb), sa or sb)
+        if sb is None or op == "*" and sa is None:  # scaled by a rational
+            return _affine(f(oa, ob), f(ca, ob) if sb is None else f(oa, cb), sa or sb)
+    if op == "*" and (ka is Fraction and not a or kb is Fraction and not b):
+        return Fraction(0)
+    return SymExpr(op, a, b, den_prec)
 
 
 def add(a, b, affine=True):
-    return _add_sub("+", a, b, affine)
+    return _node("+", a, b, affine)
 
 
 def sub(a, b, affine=True):
-    return _add_sub("-", a, b, affine)
+    return _node("-", a, b, affine)
 
 
 def mul(a, b, affine=True):
-    if type(a) is Fraction and type(b) is Fraction:
-        return a * b
-    if affine:
-        if type(a) is Fraction and isinstance(b, Affine):
-            return _affine(a * b.offset, a * b.coeff, b.stream)
-        if isinstance(a, Affine) and type(b) is Fraction:
-            return mul(b, a)
-    if type(a) is Fraction and a == 0 or type(b) is Fraction and b == 0:
-        return Fraction(0)
-    return SymExpr("*", a, b)
+    return _node("*", a, b, affine)
 
 
 def neg(a):
-    return sub(Fraction(0), a)
+    return _node("-", Fraction(0), a)
 
 
 def div(a, b, affine=True, fuel_limit=DEFAULT_FUEL, recorder=None):
@@ -311,19 +313,16 @@ def div(a, b, affine=True, fuel_limit=DEFAULT_FUEL, recorder=None):
     until its enclosure excludes zero; if the budget runs out first the
     division is rejected with UnresolvedComparison.
     """
-    if type(b) is Fraction:
-        if b == 0:
+    _kind(a)  # a non-value is refused before the divisor is checked
+    if _kind(b) is Fraction:
+        if not b:
             raise DivisionByZero("division by zero")
-        if type(a) is Fraction:
-            return a / b
-        if affine and isinstance(a, Affine):
-            return _affine(a.offset / b, a.coeff / b, a.stream)
-        return SymExpr("/", a, b)
+        return _node("/", a, b, affine)
     prec = _decide(
         _depth_enclosures, b, Fuel(fuel_limit, recorder),
         lambda j, iv: None if 0 in iv else j, "divisor sign",
     )
-    return SymExpr("/", a, b, den_prec=prec)
+    return _node("/", a, b, affine, prec)
 
 
 def _decide(route, x, fuel, verdict, what):
@@ -376,7 +375,7 @@ def _enclosures(x, fuel):
     verdict that holds with fewer digits holds with those.  General DAGs
     use the depth schedule.
     """
-    if isinstance(x, Affine):
+    if type(x) is Affine:
         m = fuel.recorder.prefix.get(x.stream.name, 0)
         while True:
             yield m, _affine_enclosure(x, m, fuel)
@@ -469,8 +468,9 @@ def refine(x, k, fuel_limit=DEFAULT_FUEL, recorder=None) -> Interval:
     if k < 0:
         raise ValueError("precision must be >= 0")
     target = Fraction(1, 3**k)
+    _kind(x)
     return _decide(
-        _enclosures, _coerce(x), Fuel(fuel_limit, recorder),
+        _enclosures, x, Fuel(fuel_limit, recorder),
         lambda _, iv: iv if iv.width <= target else None,
         f"enclosure of width 3**-{k}",
     )
@@ -509,10 +509,9 @@ def cmp_holds(op, a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     """
     if op not in RAT_CMP:
         raise ValueError(f"unknown comparison operator {op!r}")
-    a, b = _coerce(a), _coerce(b)
     # values of different types are never equal, and Fraction.__eq__ takes
     # a slow path through the numbers ABCs to say so
-    if type(a) is type(b) and a == b:
+    if _kind(a) is _kind(b) and a == b:
         return op in ("<=", ">=", "=")
     d = sub(a, b)
     if type(d) is Fraction:
@@ -532,8 +531,7 @@ def _common_floor(_, iv):
 def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Fraction:
     """Exact floor; raises UnresolvedComparison when the budget runs out
     before an enclosure falls between two integers."""
-    x = _coerce(x)
-    if type(x) is Fraction:
+    if _kind(x) is Fraction:
         return Fraction(math.floor(x))
     fl = _decide(_enclosures, x, Fuel(fuel_limit, recorder), _common_floor, "floor")
     return Fraction(fl)

@@ -409,7 +409,7 @@ def test_text_and_json_agree(capsys):
     assert doc["supertask"]["metered"]["class"] in text_out
 
 
-def test_no_fast_path_flag(capsys):
+def test_no_fast_path_flag(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "run", corpus_file("decide.whdt"), "--input", "7",
         "--oracle", "A=primes", "--stages", "0..7",
@@ -417,6 +417,26 @@ def test_no_fast_path_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["outputs"]["y"]["value"] == "1"
+    # the flag folds no arithmetic into an Affine, but a bare constant and
+    # its negation stay Affine: on both routes the guard reads two digits
+    # per stage and the negation prints as an Affine
+    prog = tmp_path / "negation.whdt"
+    prog.write_text(
+        "input; output y, z;\n"
+        "if real3(A) >= 1/2 then y := 1 else y := 0;\n"
+        "z := -real3(A)\n"
+    )
+    for route in ((), ("--no-fast-path",)):
+        code, out, err = run_cli(
+            capsys, "run", str(prog), "--oracle", "A=primes", "--stages", "0..7",
+            "--report", "json", *route,
+        )
+        assert (code, err) == (0, "")
+        stages = json.loads(out)["stages"]
+        assert {row["outputs"]["z"] for row in stages} == {
+            "symbolic:Affine(0 + -1*primes)"
+        }
+        assert {row["oracle_queries"] for row in stages} == {2}
 
 
 def test_interval_route_decodes_past_the_recursion_limit(capsys):

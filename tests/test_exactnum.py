@@ -1,6 +1,7 @@
 """Exact numerics: rational arithmetic, enclosures, comparison, floor."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -561,9 +562,9 @@ def test_affine_search_starts_at_the_digits_the_stage_holds(
             assert held.count == max(p, fresh.count)
 
 
-# Operand shapes for `add`, `sub` and `neg`: rationals, Affines on two
-# streams (coefficients drawn so that same-stream sums and differences
-# often cancel), and SymExprs over those.
+# Operand shapes for the arithmetic: rationals, Affines on two streams
+# (coefficients drawn so that same-stream sums and differences often
+# cancel), and SymExprs over those.
 _STREAMS = (finite_stream("A", [1, 0, 1]), finite_stream("B", [0, 1]))
 _coeff = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2)])
 _affine_operand = st.builds(Affine, _small, _coeff, st.sampled_from(_STREAMS))
@@ -572,27 +573,42 @@ _operand = st.recursive(
     lambda inner: st.builds(SymExpr, st.sampled_from("+-*"), inner, inner),
     max_leaves=3,
 )
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _affine_parts(op, a, b):
+    """(offset, coeff, stream) of `a op b` when it is affine in one stream
+    and neither side is a SymExpr, else None: `+` and `-` of rationals and
+    same-stream Affines, `*` with a rational side, `/` by a rational."""
+    apply, ta, tb = _APPLY[op], type(a), type(b)
+    if op in ("+", "-"):
+        if ta is Fraction and tb is Affine:
+            return apply(a, b.offset), apply(0, b.coeff), b.stream
+        if ta is Affine and tb is Fraction:
+            return apply(a.offset, b), a.coeff, a.stream
+        if ta is tb is Affine and a.stream is b.stream:
+            return apply(a.offset, b.offset), apply(a.coeff, b.coeff), a.stream
+    elif ta is Affine and tb is Fraction:
+        return apply(a.offset, b), apply(a.coeff, b), a.stream
+    elif op == "*" and ta is Fraction and tb is Affine:
+        return a * b.offset, a * b.coeff, b.stream
+    return None
 
 
 def _expected_shape(op, a, b, affine):
-    """What `add` (op "+") and `sub` (op "-") return: two rationals fold,
-    and with `affine` a rational or a same-stream Affine folds into an
-    Affine, or into its rational offset when the coefficients cancel;
-    every other pair is a SymExpr over the operands themselves."""
-    apply = {"+": lambda x, y: x + y, "-": lambda x, y: x - y}[op]
+    """What `add`, `sub`, `mul` and `div` by a nonzero rational return:
+    two rationals fold, and with `affine` an affine pair folds into an
+    Affine, or into its rational offset when the coefficient cancels; then
+    a product with a rational zero is 0, and every other pair is a SymExpr
+    over the operands themselves."""
     if type(a) is Fraction and type(b) is Fraction:
-        return apply(a, b)
-    if affine:
-        if type(a) is Fraction and type(b) is Affine:
-            offset, coeff, stream = apply(a, b.offset), apply(0, b.coeff), b.stream
-        elif type(a) is Affine and type(b) is Fraction:
-            offset, coeff, stream = apply(a.offset, b), a.coeff, a.stream
-        elif type(a) is Affine and type(b) is Affine and a.stream is b.stream:
-            offset, coeff = apply(a.offset, b.offset), apply(a.coeff, b.coeff)
-            stream = a.stream
-        else:
-            return SymExpr(op, a, b)
+        return _APPLY[op](a, b)
+    parts = _affine_parts(op, a, b) if affine else None
+    if parts is not None:
+        offset, coeff, stream = parts
         return offset if coeff == 0 else Affine(offset, coeff, stream)
+    if op == "*" and any(type(x) is Fraction and x == 0 for x in (a, b)):
+        return Fraction(0)
     return SymExpr(op, a, b)
 
 
@@ -615,5 +631,22 @@ def _assert_same_shape(got, want):
 def test_add_sub_and_neg_build_the_expected_shapes(a, b, affine):
     _assert_same_shape(add(a, b, affine=affine), _expected_shape("+", a, b, affine))
     _assert_same_shape(sub(a, b, affine=affine), _expected_shape("-", a, b, affine))
+    _assert_same_shape(mul(a, b, affine=affine), _expected_shape("*", a, b, affine))
+    if type(b) is Fraction and b != 0:
+        _assert_same_shape(div(a, b, affine=affine), _expected_shape("/", a, b, affine))
     # negation always folds an Affine, whatever the `affine` setting
     _assert_same_shape(neg(a), _expected_shape("-", Fraction(0), a, True))
+
+
+@pytest.mark.parametrize("bad", [3, 0.5, None, "1/2"], ids=repr)
+def test_arithmetic_refuses_a_non_value_on_either_side(bad):
+    # an int, a float, None or a str is no value: not even next to a
+    # rational zero, and not folded into a SymExpr
+    x = oracle_const(_STREAMS[0])
+    for value in (Fraction(0), Fraction(2), x, SymExpr("*", Fraction(2), x)):
+        for op in (add, sub, mul, div):
+            for a, b in ((bad, value), (value, bad)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+    with pytest.raises(TypeError):
+        neg(bad)
