@@ -12,6 +12,11 @@ value lies in [0, 3/2] and partial sums approach it from below.
 The interval route walks expressions with explicit stacks, so it works at
 any expression depth, and the enclosures a stage computes are kept in its
 QueryRecorder and reused within that stage by the next refinement.
+A floor or `refine` of an Affine value starts at the first digit count
+whose enclosure is narrow enough to decide.  An Affine's enclosure width
+is known before any digit is read, and every enclosure it skips is too
+wide to decide, so the digits read, the query counts, the verdicts and
+the refusal texts are those of a walk one digit at a time.
 
 Value kinds are told apart by `type(x) is`.  Fraction derives from
 numbers.Rational, so isinstance against it goes through ABCMeta, and a
@@ -21,6 +26,7 @@ times as much.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -320,7 +326,8 @@ def div(a, b, affine=True, fuel_limit=DEFAULT_FUEL, recorder=None):
         return _node("/", a, b, affine)
     prec = _decide(
         _depth_enclosures, b, Fuel(fuel_limit, recorder),
-        lambda j, iv: None if 0 in iv else j, "divisor sign",
+        lambda j, iv: None if iv.lo.numerator <= 0 <= iv.hi.numerator else j,
+        "divisor sign",
     )
     return _node("/", a, b, affine, prec)
 
@@ -365,18 +372,28 @@ def _depth_enclosures(x, fuel):
         j = max(j + 1, 2 * j)
 
 
-def _enclosures(x, fuel):
+def _enclosures(x, fuel, k=None, strict=False):
     """Shrinking enclosures of x for sign, floor and width searches.
 
     Affine values advance one digit at a time, so decoding programs issue
-    exactly the digits they need: the floor of 3**k times a stream reads
-    exactly the digits d_0..d_k.  They start at the digits the stage
+    exactly the digits they need: the floor of 3**j times a stream reads
+    exactly the digits d_0..d_j.  They start at the m0 digits the stage
     already holds, which cost no fuel: the enclosures are nested, so a
-    verdict that holds with fewer digits holds with those.  General DAGs
-    use the depth schedule.
+    verdict that holds with fewer digits holds with those.
+
+    With a width target, at most 3**-k or below it when `strict` (a floor
+    needs width below 1), they start instead at the first digit count
+    `need` that meets it, if that is past m0.  No enclosure before `need`
+    can decide, so the search stops at the same digit count as a walk from
+    m0, and reads the same digits.  The start is capped at m0 + fuel.limit,
+    the last count the fuel allows, so a refusal names the same last
+    enclosure.  A sign has no width target.  General DAGs use the depth
+    schedule.
     """
     if type(x) is Affine:
         m = fuel.recorder.prefix.get(x.stream.name, 0)
+        if k is not None:
+            m = max(m, min(_digits_for_width(x.coeff, k, strict), m + fuel.limit))
         while True:
             yield m, _affine_enclosure(x, m, fuel)
             m += 1
@@ -384,12 +401,31 @@ def _enclosures(x, fuel):
         yield from _depth_enclosures(x, fuel)
 
 
+def _digits_for_width(c, k, strict):
+    """The fewest digits m with which an Affine of coefficient c has an
+    enclosure of width at most 3**-k, or below it when `strict`.
+
+    The width is |c| * 3/(2 * 3**m), so with c = p/q the test is, in
+    integers, 3*|p|*3**k + strict <= 2*q*3**m.  The ratio of the sides is
+    above 2**(b - 1), b their difference in bit length, so m is at least
+    (b - 1) / log2(3); 1.584963 is just above log2(3).  The loop steps up
+    from there, a few times at most.
+    """
+    lhs, rhs = 3 * abs(c.numerator) * 3**k + strict, 2 * c.denominator
+    m = max(0, (lhs.bit_length() - rhs.bit_length() - 1) * 10**6 // 1584963)
+    rhs *= 3**m
+    while rhs < lhs:
+        rhs *= 3
+        m += 1
+    return m
+
+
 def _affine_enclosure(x, m, fuel):
     """x's enclosure with m digits of its stream read."""
     s = x.stream.prefix_sum(m, fuel)
     a = x.offset + x.coeff * s
     b = x.offset + x.coeff * (s + tail_bound(m))
-    return Interval(a, b) if x.coeff > 0 else Interval(b, a)
+    return Interval(a, b) if x.coeff.numerator > 0 else Interval(b, a)
 
 
 def _enclose(x, j, fuel) -> Interval:
@@ -445,7 +481,7 @@ def _combine(op, a, b):
         prods = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
         return Interval(min(prods), max(prods))
     if op == "/":
-        if b.lo <= 0 <= b.hi:
+        if b.lo.numerator <= 0 <= b.hi.numerator:
             # Construction certifies separation at den_prec; reaching this
             # means the caller bypassed div().
             raise DivisionByZero("divisor enclosure straddles zero")
@@ -470,7 +506,7 @@ def refine(x, k, fuel_limit=DEFAULT_FUEL, recorder=None) -> Interval:
     target = Fraction(1, 3**k)
     _kind(x)
     return _decide(
-        _enclosures, x, Fuel(fuel_limit, recorder),
+        functools.partial(_enclosures, k=k), x, Fuel(fuel_limit, recorder),
         lambda _, iv: iv if iv.width <= target else None,
         f"enclosure of width 3**-{k}",
     )
@@ -478,7 +514,9 @@ def refine(x, k, fuel_limit=DEFAULT_FUEL, recorder=None) -> Interval:
 
 # The six comparison operators on rationals, and on an enclosure [lo, hi]
 # of lhs - rhs: True or False once the enclosure decides, else None.  `=`
-# can only ever be refuted numerically, and `!=` only confirmed.
+# can only ever be refuted numerically, and `!=` only confirmed.  cmp_holds
+# passes the ends' numerators, which carry their signs: comparing a
+# Fraction with 0 goes through the numbers ABCs, as `_scale` notes.
 RAT_CMP = {
     "<": operator.lt,
     "<=": operator.le,
@@ -519,7 +557,7 @@ def cmp_holds(op, a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     holds = _ENCLOSURE_CMP[op]
     return _decide(
         _enclosures, d, Fuel(fuel_limit, recorder),
-        lambda _, iv: holds(iv.lo, iv.hi), f"guard `{op}`",
+        lambda _, iv: holds(iv.lo.numerator, iv.hi.numerator), f"guard `{op}`",
     )
 
 
@@ -533,5 +571,8 @@ def floor_value(x, fuel_limit=DEFAULT_FUEL, recorder=None) -> Fraction:
     before an enclosure falls between two integers."""
     if _kind(x) is Fraction:
         return Fraction(math.floor(x))
-    fl = _decide(_enclosures, x, Fuel(fuel_limit, recorder), _common_floor, "floor")
+    fl = _decide(
+        functools.partial(_enclosures, k=0, strict=True), x,
+        Fuel(fuel_limit, recorder), _common_floor, "floor",
+    )
     return Fraction(fl)

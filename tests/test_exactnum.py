@@ -16,6 +16,7 @@ from whiledt.exactnum import (
     Affine,
     Fuel,
     Interval,
+    OracleReal,
     QueryRecorder,
     SymExpr,
     _combine,
@@ -29,6 +30,7 @@ from whiledt.exactnum import (
     oracle_const,
     refine,
     sub,
+    tail_bound,
 )
 from whiledt.oracles import builtin_set
 
@@ -560,6 +562,104 @@ def test_affine_search_starts_at_the_digits_the_stage_holds(
         if want is not None:
             assert got == want == expected
             assert held.count == max(p, fresh.count)
+
+
+def _walk_from_held(x, decide, what, fuel_limit, rec):
+    """Reference search for an Affine x: step one digit at a time from the
+    digits the stage holds until `decide(enclosure)` answers, or refuse."""
+    fuel, last = Fuel(fuel_limit, rec), None
+    m = rec.prefix.get(x.stream.name, 0)
+    while True:
+        try:
+            s = x.stream.prefix_sum(m, fuel)
+        except OracleQueryLimit:
+            raise UnresolvedComparison(
+                f"{what} unresolved after {fuel_limit} digit queries;"
+                f" last enclosure {last}"
+            ) from None
+        ends = (x.offset + x.coeff * s, x.offset + x.coeff * (s + tail_bound(m)))
+        last = Interval(min(ends), max(ends))
+        answer = decide(last)
+        if answer is not None:
+            return answer
+        m += 1
+
+
+def _floor_of(iv):
+    lo = math.floor(iv.lo)
+    return Fraction(lo) if lo == math.floor(iv.hi) else None
+
+
+def _first_deciding_width(c, fits):
+    """The fewest digits m at which an Affine of coefficient c has an
+    enclosure whose width `fits`."""
+    m = 0
+    while not fits(abs(c) * tail_bound(m)):
+        m += 1
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), max_size=70),
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)),
+    st.integers(-8, 60),
+    st.booleans(),
+    _SMALL,
+    st.integers(0, 70),
+    st.integers(0, 8),
+    st.integers(0, 80),
+    st.booleans(),
+)
+def test_affine_floor_and_refine_start_where_the_width_can_decide(
+    digits, ratio, shift, negative, offset, held_digits, k, fuel, short
+):
+    # floor_value and refine of an Affine skip the enclosures too wide to
+    # decide.  They answer or refuse exactly as a walk one digit at a time
+    # from the stage's held digits does, and leave the same digits read.
+    coeff = ratio * Fraction(3) ** shift * (-1 if negative else 1)
+    x = Affine(offset, coeff, finite_stream("A", digits))
+    target = Fraction(1, 3**k)
+    searches = (
+        (lambda f, rec: floor_value(x, f, rec), _floor_of, "floor", lambda w: w < 1),
+        (
+            lambda f, rec: refine(x, k, f, rec),
+            lambda iv: iv if iv.width <= target else None,
+            f"enclosure of width 3**-{k}",
+            lambda w: w <= target,
+        ),
+    )
+    for call, decide, what, fits in searches:
+        ours, ref = QueryRecorder(), QueryRecorder()
+        for rec in (ours, ref):
+            x.stream.prefix_sum(held_digits, Fuel(held_digits, rec))
+        # with `short`, fuel that runs out before the first enclosure that
+        # can decide
+        gap = _first_deciding_width(coeff, fits) - held_digits
+        limit = fuel % gap if short and gap > 0 else fuel
+        got = _outcome(lambda: call(limit, ours))
+        want = _outcome(lambda: _walk_from_held(x, decide, what, limit, ref))
+        assert got == want
+        assert (ours.prefix, ours.count) == (ref.prefix, ref.count)
+
+
+def test_floor_of_a_shifted_constant_computes_one_or_two_enclosures():
+    # floor(3**100 * A) is decided by the enclosure with 101 digits, the
+    # first narrower than 1; a walk from no digits computes 102
+    calls = []
+
+    class Counting(OracleReal):
+        def prefix_sum(self, m, fuel):
+            calls.append(m)
+            return super().prefix_sum(m, fuel)
+
+    digits = [1, 0, 0, 1, 1] * 30
+    rec = QueryRecorder()
+    x = mul(Fraction(3) ** 100, oracle_const(Counting("A", digits.__getitem__)))
+    got = floor_value(x, recorder=rec)
+    assert got == int("".join(map(str, digits[:101])), 3)
+    assert len(calls) <= 2
+    assert rec.prefix == {"A": 101} and rec.count == 101
 
 
 # Operand shapes for the arithmetic: rationals, Affines on two streams
