@@ -11,11 +11,33 @@ Inside a stage an integral rational is a Python `int`, so counters,
 literals, `infinity`, floors and `J` cost int arithmetic; any other
 rational is a `Fraction`.  The ints stay inside: a StageResult's store,
 and so every output and energy value, holds Fractions and symbolic values.
+
+A loop defers the assignments whose values no later turn of it can see
+(dead stores, in liveness terms): each is evaluated once, when the loop
+is left.  An assignment `v := e` is deferred when its innermost
+enclosing `while` W reads `v` nowhere (not in its guard, its body or a
+loop nested in it), every assignment to `v` inside W has W as its
+innermost loop, and each of those right-hand sides can neither fail nor
+read a digit: it is built only from variables, literals, `dt`,
+`infinity`, unary `-`, `+ - *` and `/` by a nonzero literal.  A deferred
+assignment ticks and is charged as any other, reads the variables of
+`e` (an unbound one is an error there, as before), and takes its slot in
+the store if `v` is new; it keeps `e` with the values it read as `v`'s
+pending value.  When W is left, on a false guard, a fuel-out or an
+error, each pending `e` is evaluated on its values and stored.  Since
+nothing reads `v` before W ends and values are immutable, the store is
+the one an eager run leaves; `e` reads no digit, so digit counts, the
+enclosure memo and the digit fuel are untouched; and the ticks and
+charges stay where they were, so steps, costs, fuel-out locations and
+errors are too.  A loop's plan, its body with the deferred assignments
+made `_Deferred` nodes, is computed at its first entry in a stage and
+kept on that stage's `_Run`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -122,6 +144,8 @@ class _Run:
         self.steps = 0
         self.loop_iterations = {}
         self.while_stack = []
+        self.plans = {}  # id of a While -> the body it runs (see _plan)
+        self.pending = None  # var -> (expr, values read) in the deferring loop
         missing = sorted(program.oracles - set(self.oracles))
         if missing:
             raise UnknownOracle(
@@ -253,6 +277,87 @@ def _fraction(value):
     return Fraction(value) if type(value) is int else value
 
 
+# An assignment its loop defers; `names` are the variables `expr` reads, in
+# first-occurrence order.  A plain tuple type: a plan builds one per
+# deferred assignment at each stage.
+_Deferred = namedtuple("_Deferred", "var expr names loc")
+
+
+# The nodes a deferred right-hand side is built from; a `/` must also
+# divide by a nonzero literal.
+_PURE = frozenset(
+    (syntax.Var, syntax.RationalLiteral, syntax.Dt, syntax.Infinity, syntax.Neg, syntax.BinOp)
+)
+
+
+def _pure(expr):
+    """Whether evaluating `expr` can neither fail nor read a digit."""
+    return all(
+        type(n) in _PURE
+        and (type(n) is not syntax.BinOp or n.op != "/"
+             or type(n.rhs) is syntax.RationalLiteral and n.rhs.value != 0)
+        for n in syntax.walk(expr)
+    )
+
+
+def _own_level(cmd):
+    """The statements `cmd` runs at its own loop level, found through its
+    blocks and ifs: assignments, skips and its outermost loops."""
+    stack = [cmd]
+    while stack:
+        cmd = stack.pop()
+        cls = type(cmd)
+        if cls is syntax.Block:
+            stack.extend(cmd.stmts)
+        elif cls is syntax.If:
+            stack += (cmd.then, cmd.orelse)
+        else:
+            yield cmd
+
+
+def _plan(loop):
+    """The body `loop` runs: its body with each assignment it defers made a
+    _Deferred, or the body itself when it defers none."""
+    own, blocked = [], {n.name for n in syntax.walk(loop) if type(n) is syntax.Var}
+    for cmd in _own_level(loop.body):
+        if type(cmd) is syntax.Assign and cmd.var not in blocked:
+            own.append(cmd)
+        elif type(cmd) is syntax.While:
+            blocked.update(n.var for n in syntax.walk(cmd) if type(n) is syntax.Assign)
+    blocked.update(cmd.var for cmd in own if not _pure(cmd.expr))
+    defer = {cmd.var for cmd in own} - blocked
+    return _defer(loop.body, defer) if defer else loop.body
+
+
+def _defer(cmd, defer):
+    """`cmd` with each assignment to a variable in `defer` that no nested
+    loop encloses made a _Deferred."""
+    cls = type(cmd)
+    if cls is syntax.Assign and cmd.var in defer:
+        names = (n.name for n in syntax.walk(cmd.expr) if type(n) is syntax.Var)
+        return _Deferred(cmd.var, cmd.expr, tuple(dict.fromkeys(names)), cmd.loc)
+    if cls is syntax.Block:
+        return syntax.Block(tuple(_defer(s, defer) for s in cmd.stmts))
+    if cls is syntax.If:
+        return syntax.If(cmd.cond, _defer(cmd.then, defer), _defer(cmd.orelse, defer), cmd.loc)
+    return cmd
+
+
+def _unbound(name):
+    return UnboundVariable(f"variable {name!r} read before assignment")
+
+
+def _deferred(cmd, store, run):
+    run.tick(cmd.loc)
+    try:
+        values = {name: store[name] for name in cmd.names}
+    except KeyError as e:
+        raise _unbound(e.args[0])
+    store.setdefault(cmd.var, None)  # the slot an eager run makes here
+    run.pending[cmd.var] = (cmd.expr, values)
+    run.meter.charge_assign(cmd.var)
+
+
 def _assign(cmd, store, run):
     run.tick(cmd.loc)
     store[cmd.var] = _AEVAL[type(cmd.expr)](cmd.expr, store, run)
@@ -277,7 +382,13 @@ def _while(cmd, store, run):
     iterations = run.loop_iterations
     iterations.setdefault(loc, 0)
     run.while_stack.append(loc)
-    cond, body = cmd.cond, cmd.body
+    body = run.plans.get(id(cmd))
+    if body is None:
+        body = run.plans[id(cmd)] = _plan(cmd)
+    deferring = body is not cmd.body
+    if deferring:
+        outer, run.pending = run.pending, {}
+    cond = cmd.cond
     test, step = _BEVAL[type(cond)], _EXEC[type(body)]
     try:
         while True:
@@ -289,6 +400,10 @@ def _while(cmd, store, run):
             step(body, store, run)
     finally:
         run.while_stack.pop()
+        if deferring:
+            for var, (expr, values) in run.pending.items():
+                store[var] = _AEVAL[type(expr)](expr, values, run)
+            run.pending = outer
 
 
 def _literal(expr, store, run):
@@ -299,7 +414,7 @@ def _var(expr, store, run):
     try:
         return store[expr.name]
     except KeyError:
-        raise UnboundVariable(f"variable {expr.name!r} read before assignment")
+        raise _unbound(expr.name)
 
 
 def _neg(expr, store, run):
@@ -409,6 +524,7 @@ _EXEC = {
     syntax.Block: _block,
     syntax.If: _if,
     syntax.While: _while,
+    _Deferred: _deferred,
 }
 _AEVAL = {
     syntax.RationalLiteral: _literal,

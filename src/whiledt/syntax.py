@@ -910,12 +910,16 @@ OUTPUT_NEVER_ASSIGNED = "output-never-assigned"
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """A static finding about `var`; `loc` is the line:col of the statement
+    that reads it, or None for a finding about the declarations."""
+
     kind: str
     var: str
-    loc: tuple = (0, 0)
+    loc: tuple | None = None
 
     def __str__(self):
-        return f"{self.kind}: {self.var} at {self.loc[0]}:{self.loc[1]}"
+        at = f" at {self.loc[0]}:{self.loc[1]}" if self.loc else ""
+        return f"{self.kind}: {self.var}{at}"
 
 
 def check(program) -> list:

@@ -157,3 +157,26 @@ def program_sources(stage_free=False, bounded=False):
         f"def M1(p, q) -> r {{ r := q; {t[1]} }}\n"
         f"input x;\noutput v0, v1;\n" + ";\n".join(t[2]) + "\n"
     )
+
+
+def dead_store_sources():
+    """Source text of a program whose loop assigns `d`, which the loop
+    never reads, between statements that may read and assign anything
+    else: `input x; output v0, d;`, then `while k < 4 and GUARD do {
+    k := k + 1; STATEMENTS; d := EXPR; c := floor(k); STATEMENTS }`.
+    `d` may be first assigned in the loop, before `c`, which no loop
+    defers; `v2` is first assigned wherever a statement assigns it; and
+    `d` may be read after the loop."""
+    arith = _arith(stage_free=False, bounded=True)
+    boolean = _bool(arith, stage_free=False)
+    stmts = st.lists(
+        _statements(arith, boolean, calls=False), min_size=1, max_size=3
+    ).map("; ".join)
+    return st.tuples(
+        stmts, st.booleans(), boolean, stmts, arith, stmts, st.booleans()
+    ).map(
+        lambda t: "input x;\noutput v0, d;\n"
+        f"v0 := x; v1 := 1; k := 0; {'d := 5; ' if t[1] else ''}{t[0]};\n"
+        f"while k < 4 and {t[2]} do {{ k := k + 1; {t[3]}; d := {t[4]}; c := floor(k); {t[5]} }}"
+        + (";\nv0 := d + v0\n" if t[6] else "\n")
+    )

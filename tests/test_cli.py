@@ -245,6 +245,24 @@ def test_run_static_diagnostics_exit_one(tmp_path, capsys):
     assert "use-before-assign" in err
 
 
+def test_declaration_diagnostics_print_no_position(tmp_path, capsys):
+    # a diagnostic about the declarations has no statement to point at;
+    # these printed the placeholder position 0:0
+    for body, message in (
+        ("input x, x; output y; y := 1", "duplicate-decl: x"),
+        ("input x; output y; while x < 1 do y := 1", "output-never-assigned: y"),
+    ):
+        prog = tmp_path / "decl.whdt"
+        prog.write_text(body)
+        code, out, err = run_cli(capsys, "run", str(prog), "--input", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: {prog}: {message}\n"
+    # a use still names the statement that reads the variable
+    prog.write_text("input x; output y; y := z + 1")
+    code, _, err = run_cli(capsys, "run", str(prog), "--input", "1")
+    assert code == 1 and err == f"error: {prog}: use-before-assign: z at 1:20\n"
+
+
 def test_run_energy_and_clock_flags(capsys):
     code, out, err = run_cli(
         capsys, "run", corpus_file("ball.whdt"),

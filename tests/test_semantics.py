@@ -1,16 +1,26 @@
 """Stagewise evaluation: corpus programs against independent oracles."""
 
+import contextlib
+import gc
+import io
 import math
 import random
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, corpus_source, finite_stream, program_sources
-from whiledt import semantics
+from conftest import (
+    CORPUS,
+    corpus_source,
+    dead_store_sources,
+    finite_stream,
+    program_sources,
+)
+from whiledt import cli, semantics
 from whiledt.cli import build_arg_parser, load_run, parse_expectations
 from whiledt.exactnum import RAT_CMP, oracle_const
 from whiledt.oracles import builtin_set, cantor_pair, finite_set, graph_oracle
@@ -19,7 +29,7 @@ from whiledt.semantics import (
     eval_stage,
     eval_stages,
 )
-from whiledt.syntax import Program, parse, parse_module
+from whiledt.syntax import Assign, Program, While, parse, parse_module, walk
 
 SMALL_SCHEDULE = list(range(8))
 
@@ -486,3 +496,190 @@ def test_inputs_are_exact_rationals():
     for x in (Fraction(1, 10), Decimal("0.1"), "0.1", "1/10"):
         assert eval_stages(program, [x], range(8)).outputs["y"] == [Fraction(1)] * 8
     assert eval_stages(program, [3], range(8)).outputs["y"] == [Fraction(30)] * 8
+
+
+# ---------------------------------------------------------------------------
+# Deferred assignments: a run that defers is compared with one whose loops
+# defer nothing, which is how every assignment ran before deferral.
+
+
+def run_both(program, inputs, n, oracles=None, **ctx_kw):
+    """The StageResults of one stage run as is and run eagerly; an eager
+    loop's plan is its own body."""
+    ctx = StageContext.for_stage(n, **ctx_kw)
+    deferred = eval_stage(program, inputs, ctx, oracles)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_plan", lambda loop: loop.body)
+        eager = eval_stage(program, inputs, ctx, oracles)
+    return deferred, eager
+
+
+def assert_same_stage(deferred, eager):
+    # the ledger holds the stage recorder's count as `oracle_queries`
+    assert list(deferred.store.items()) == list(eager.store.items())
+    assert deferred.status == eager.status
+    assert deferred.ledger == eager.ledger
+    assert deferred.loop_iterations == eager.loop_iterations
+
+
+def defers(program):
+    """The variables each loop of `program` defers, in source order."""
+    loops = [n for n in walk(program.body) if type(n) is While]
+    return [
+        sorted({s.var for s in semantics._own_level(semantics._plan(w))
+                if type(s) is semantics._Deferred})
+        for w in loops
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(program_sources(bounded=True), dead_store_sources()),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    st.booleans(),
+)
+def test_deferring_loops_agree_with_eager_loops(source, x, fast):
+    program = parse(source)
+    form = "dead store form" if "c := floor(k)" in source else "program_sources"
+    event(f"{form}: {'defers' if any(defers(program)) else 'defers nothing'}")
+    oracles = {"A": builtin_set("primes")}
+    for n in (0, 2, 5):
+        assert_same_stage(*run_both(
+            program, [x], n, oracles, step_fuel=150, cmp_fuel=64, use_fast_path=fast
+        ))
+
+
+def test_ball_defers_its_energy_and_nothing_else():
+    program = parse(corpus_source("ball.whdt"))
+    assert defers(program) == [["energy"]]
+    for n in (0, 3, 31):
+        assert_same_stage(*run_both(program, [], n))
+
+
+@pytest.mark.parametrize("step_fuel", [1, 7, 8, 9, 10, 30])
+def test_fuel_out_inside_a_deferring_loop_stores_the_last_value(step_fuel):
+    program = parse(
+        "input; output e; e := 0; k := 0; while 0 < 1 do { k := k + 1; e := k * dt }"
+    )
+    assert defers(program) == [["e"]]
+    deferred, eager = run_both(program, [], 3, step_fuel=step_fuel)
+    assert_same_stage(deferred, eager)
+    assert deferred.status.kind == "fuel-exhausted"
+
+
+def test_unbound_read_of_a_deferred_assignment_is_an_error_there():
+    # parse does not run `check`, which refuses this program
+    program = parse(
+        "input; output k; k := 0;"
+        " while k < 2 do { k := k + 1; s := q + k; if k = 2 then q := 1 }"
+    )
+    assert defers(program) == [["s"]]
+    deferred, eager = run_both(program, [], 0)
+    assert_same_stage(deferred, eager)
+    assert deferred.status.message == "variable 'q' read before assignment"
+    assert "s" not in deferred.store
+
+
+def test_zero_turn_loop_stores_nothing():
+    program = parse("input; output d; d := 7; while 1 < 0 do { d := 5; fresh := 1 }")
+    assert defers(program) == [["d", "fresh"]]
+    deferred, eager = run_both(program, [], 0)
+    assert_same_stage(deferred, eager)
+    assert list(deferred.store.items()) == [("d", 7)]
+
+
+def test_outer_loop_reads_the_inner_loops_dead_store():
+    program = parse(
+        "input x; output y; y := 0; i := 0;"
+        " while i < 2 + dt do { i := i + 1; j := 0;"
+        "   while j < 3 do { j := j + 1; d := j * i - x }; y := y + d }"
+    )
+    # the outer loop reads d, so only the inner one defers it
+    assert defers(program) == [[], ["d"]]
+    for n in (0, 1, 4):
+        deferred, eager = run_both(program, [Fraction(1, 2)], n)
+        assert_same_stage(deferred, eager)
+    # at stage 4 the outer loop turns three times, and d ends at 3 * i - x
+    assert deferred.store["y"] == sum(3 * i - Fraction(1, 2) for i in (1, 2, 3))
+
+
+def test_variable_first_created_in_a_loop_keeps_its_store_position():
+    program = parse(
+        "input; output k; k := 0;"
+        " while k < 3 do { k := k + 1; late := k * 2; f := floor(k / 2); m := k }; z := 1"
+    )
+    assert defers(program) == [["late", "m"]]
+    deferred, eager = run_both(program, [], 0)
+    assert_same_stage(deferred, eager)
+    assert list(deferred.store) == ["k", "late", "f", "m", "z"]
+    assert deferred.store["late"] == 6
+
+
+def test_symbolic_dead_store_without_the_fast_path():
+    program = parse(
+        "input x; output s; k := 0; r := real3(A);"
+        " while k < 3 do { k := k + 1; s := r * k + x * dt - r / 3 }"
+    )
+    assert defers(program) == [["s"]]
+    oracles = {"A": builtin_set("primes")}
+    for n in (0, 5):
+        deferred, eager = run_both(
+            program, [Fraction(2)], n, oracles, use_fast_path=False
+        )
+        assert_same_stage(deferred, eager)
+        assert not isinstance(deferred.store["s"], Fraction)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "d := floor(k)",  # may read a digit
+        "d := k / v",  # may divide by zero
+        "d := k / 0",
+        "d := J(k, 1)",  # may fail on a non-natural
+        "d := real3(A)",
+        "d := k; d := d + 1",  # the loop reads d
+        "d := k; while k < 0 do d := 1",  # a nested loop assigns d
+        "if d < 1 then skip; d := k",  # the loop's body reads d
+    ],
+)
+def test_an_assignment_that_can_fail_or_is_read_is_not_deferred(body):
+    program = parse(f"input; output k; v := 1; d := 0; k := 0;"
+                    f" while k < 2 do {{ k := k + 1; {body} }}")
+    assert "d" not in defers(program)[0]
+
+
+def test_a_loop_guard_read_blocks_deferral():
+    program = parse("input; output d; d := 0; k := 0; while d < 2 do { k := k + 1; d := k }")
+    assert defers(program) == [[]]
+
+
+def node_refs(program):
+    """Weak references to `program` and to each of its loops and assignments."""
+    return [weakref.ref(program)] + [
+        weakref.ref(n) for n in walk(program.body) if type(n) in (While, Assign)
+    ]
+
+
+def test_no_loop_plan_outlives_its_stage_or_its_program(monkeypatch):
+    program = parse(corpus_source("ball.whdt"))
+    eval_stages(program, [], SMALL_SCHEDULE, energy_var="energy")
+    held = node_refs(program)
+    assert len(held) > 2
+    del program
+    gc.collect()
+    assert [r for r in held if r() is not None] == []
+    # the program `whiledt run` parses is gone once the command returns
+    held = []
+
+    def keeping(program, *args, **kw):
+        held.extend(node_refs(program))
+        return eval_stages(program, *args, **kw)
+
+    monkeypatch.setattr(cli, "eval_stages", keeping)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", str(CORPUS / "ball.whdt"), "--stages", "0..3",
+                         "--energy-var", "energy", "--report", "json"])
+    assert code == 0 and len(held) > 2
+    gc.collect()
+    assert [r for r in held if r() is not None] == []
