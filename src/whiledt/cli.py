@@ -48,6 +48,13 @@ def parse_schedule(spec) -> list:
     """`0..15` (inclusive), comma lists, and a `+doubling:k` suffix that
     keeps doubling the last stage (n -> 2n+1) k more times."""
     base, _, suffix = spec.partition("+")
+
+    def integer(text, what):
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"bad {what} {text.strip()!r} in schedule {spec!r}") from None
+
     stages = []
     for item in base.split(","):
         item = item.strip()
@@ -55,16 +62,18 @@ def parse_schedule(spec) -> list:
             raise ValueError(f"empty item in schedule {spec!r}")
         if ".." in item:
             a, _, b = item.partition("..")
-            lo, hi = int(a), int(b)
+            lo, hi = integer(a, "stage"), integer(b, "stage")
             if hi < lo:
                 raise ValueError(f"bad range {item!r}")
             stages.extend(range(lo, hi + 1))
         else:
-            stages.append(int(item))
+            stages.append(integer(item, "stage"))
     if suffix:
         if not suffix.startswith("doubling:"):
             raise ValueError(f"unknown schedule suffix {suffix!r}")
-        k = int(suffix.split(":", 1)[1])
+        k = integer(suffix.split(":", 1)[1], "doubling count")
+        if k < 0:
+            raise ValueError(f"doubling count must be >= 0 in schedule {spec!r}")
         for _ in range(k):
             stages.append(2 * stages[-1] + 1)
     if not stages:

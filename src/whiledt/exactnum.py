@@ -4,9 +4,11 @@ A value is either a rational, held as a plain `fractions.Fraction`, or a
 symbolic expression (`Affine`, `SymExpr`) over rationals and named
 ternary digit streams.  `_node` is the one constructor of arithmetic
 results, and the only code that builds a SymExpr: `add`, `sub`, `mul`,
-`div` and `neg` all call it.  Symbolic values are compared and floored by
-interval refinement: every enclosure is a closed rational interval that
-provably contains the true value, and refinement only ever shrinks it.
+`div` and `neg` all call it.  It builds each value once: structurally
+identical means identical, so a SymExpr compares and hashes by identity.
+Symbolic values are compared and floored by interval refinement: every
+enclosure is a closed rational interval that provably contains the true
+value, and refinement only ever shrinks it.
 Digit streams use base 3 with digits restricted to {0, 1}, so a stream's
 value lies in [0, 3/2] and partial sums approach it from below.
 The interval route walks expressions with explicit stacks, so it works at
@@ -29,7 +31,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -50,9 +53,8 @@ class QueryRecorder:
         self.prefix = {}  # stream name -> number of leading digits read
         self.members = set()
         self.count = 0
-        # (id(node), depth) -> (node, Interval) for each SymExpr enclosed by
-        # the current refinement and by the one before it; the node is held
-        # so that its id is not reused
+        # (node, depth) -> Interval for each SymExpr enclosed by the current
+        # refinement and by the one before it
         self.enclosures = {}
         self.previous = {}
 
@@ -186,37 +188,17 @@ class Affine(ExactReal):
         return f"Affine({offset} + {coeff}*{self.stream.name})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SymExpr(ExactReal):
-    """General binary node; op is one of '+', '-', '*', '/'."""
+    """General binary node; op is one of '+', '-', '*', '/'.  `_node`
+    builds each one once, so a node equals only itself."""
 
     op: str
     lhs: Fraction | ExactReal
     rhs: Fraction | ExactReal
     # For '/': a refinement depth at which the divisor's enclosure is known
-    # to exclude zero.  Not part of the value.
-    den_prec: int = field(default=0, compare=False)
-
-    def __eq__(self, other):
-        """Structural equality, walked with an explicit stack so that it
-        works at any expression depth."""
-        if type(other) is not SymExpr:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if type(a) is SymExpr and type(b) is SymExpr:
-                if a.op != b.op:
-                    return False
-                todo += ((a.rhs, b.rhs), (a.lhs, b.lhs))
-            elif type(a) is SymExpr or type(b) is SymExpr or a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        return _fold(self, hash, lambda op, lhs, rhs: hash((op, lhs, rhs)))
+    # to exclude zero.  It depends only on the divisor.
+    den_prec: int = 0
 
     def __repr__(self):
         return _fold(
@@ -274,13 +256,17 @@ def _affine(offset, coeff, stream):
     return offset if coeff == 0 else Affine(offset, coeff, stream)
 
 
+_NODES = weakref.WeakValueDictionary()  # (op, lhs, rhs) -> its live SymExpr
+
+
 def _node(op, a, b, affine=True, den_prec=0):
     """`a op b`, the one constructor of arithmetic results.  Two rationals
     fold.  With `affine`, a rational is the Affine with coefficient 0, and
     an affine result folds into an Affine (or its offset, when the
     coefficients cancel): `+` and `-` with at most one stream or a shared
     one, `*` by a rational and `/` by a rational divisor.  `0 * x` is 0.
-    Any other pair is a SymExpr; `den_prec` is a `/` node's divisor depth."""
+    Any other pair is a SymExpr, the live one if `_NODES` holds it;
+    `den_prec` is a `/` node's divisor depth."""
     ka, kb, f = _kind(a), _kind(b), _ARITH[op]
     if ka is Fraction and kb is Fraction:
         return f(a, b)
@@ -293,7 +279,10 @@ def _node(op, a, b, affine=True, den_prec=0):
             return _affine(f(oa, ob), f(ca, ob) if sb is None else f(oa, cb), sa or sb)
     if op == "*" and (ka is Fraction and not a or kb is Fraction and not b):
         return Fraction(0)
-    return SymExpr(op, a, b, den_prec)
+    node = _NODES.get((op, a, b))
+    if node is None:
+        node = _NODES[op, a, b] = SymExpr(op, a, b, den_prec)
+    return node
 
 
 def add(a, b, affine=True):
@@ -444,18 +433,18 @@ def _enclose(x, j, fuel) -> Interval:
         if ready:
             rhs = done.pop()
             iv = _combine(v.op, done.pop(), rhs)
-            memo[id(v), d] = (v, iv)
+            memo[v, d] = iv
             done.append(iv)
         elif type(v) is Fraction:
             done.append(Interval(v, v))
         elif type(v) is Affine:
             done.append(_affine_enclosure(v, d + 1, fuel))
         elif type(v) is SymExpr:
-            key = id(v), d
+            key = v, d
             hit = memo.get(key) or previous.get(key)
             if hit is not None:
                 memo[key] = hit
-                done.append(hit[1])
+                done.append(hit)
                 continue
             rd = max(d, v.den_prec) if v.op == "/" else d
             todo += ((v, d, True), (v.rhs, rd, False), (v.lhs, d, False))
@@ -541,9 +530,10 @@ def cmp_holds(op, a, b, fuel_limit=DEFAULT_FUEL, recorder=None):
     One-sided cases resolve exactly: for example `x >= 1` is certified
     true as soon as the enclosure's closed lower end reaches 1, even when
     x may equal 1 exactly.  Equality is known only for equal rationals or
-    structurally identical expressions: `=` or `!=` on numerically equal
-    but distinct symbolic values refines until the budget runs out and
-    surfaces as UnresolvedComparison.
+    structurally identical expressions, and those are identical: `_node`
+    builds each value once.  `=` or `!=` on numerically equal but distinct
+    symbolic values refines until the budget runs out and surfaces as
+    UnresolvedComparison.
     """
     if op not in RAT_CMP:
         raise ValueError(f"unknown comparison operator {op!r}")

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,7 @@ def corpus_file(name):
     return str(CORPUS / name)
 
 
-def test_parse_schedule_forms():
+def test_parse_schedule_forms(capsys):
     assert parse_schedule("0..7") == list(range(8))
     assert parse_schedule("0,3,9") == [0, 3, 9]
     assert parse_schedule("0..15+doubling:3") == list(DEFAULT_SCHEDULE)
@@ -42,6 +43,20 @@ def test_parse_schedule_forms():
         parse_schedule("0..3+tripling:2")
     with pytest.raises(ValueError):
         parse_schedule("-1..9")
+    # a negative doubling count, or a stage or count that is no integer,
+    # is refused by a message that names the schedule, with exit 2
+    for spec, message in (
+        ("0..3+doubling:-1", "doubling count must be >= 0 in schedule '0..3+doubling:-1'"),
+        ("0..x", "bad stage 'x' in schedule '0..x'"),
+        ("1..2..3", "bad stage '2..3' in schedule '1..2..3'"),
+        ("0..3+doubling:x", "bad doubling count 'x' in schedule '0..3+doubling:x'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_schedule(spec)
+        code, out, err = run_cli(
+            capsys, "run", corpus_file("floor.whdt"), "--input", "1", "--stages", spec
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_parse_rational_forms():

@@ -1,15 +1,18 @@
 """Exact numerics: rational arithmetic, enclosures, comparison, floor."""
 
+import gc
 import math
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_stream, stream_value, true_value
+from whiledt import exactnum
 from whiledt.errors import DivisionByZero, OracleQueryLimit, UnresolvedComparison
 from whiledt.exactnum import (
     RAT_CMP,
@@ -33,6 +36,8 @@ from whiledt.exactnum import (
     tail_bound,
 )
 from whiledt.oracles import builtin_set
+from whiledt.semantics import eval_stages
+from whiledt.syntax import parse
 
 
 def frac(*args):
@@ -750,3 +755,96 @@ def test_arithmetic_refuses_a_non_value_on_either_side(bad):
                     op(a, b)
     with pytest.raises(TypeError):
         neg(bad)
+
+
+# One node per value: `_node` hands back the live node equal to the one it
+# would build, so equal symbolic values are one object.
+
+
+def test_a_value_built_twice_is_one_object():
+    x, y = (oracle_const(finite_stream(name, [1, 0, 1])) for name in "XY")
+    first, second = (add(mul(x, y, affine=False), exact(1), affine=False) for _ in range(2))
+    assert type(first) is SymExpr and first is second
+
+
+def _squared(times):
+    a = add(oracle_const(_STREAMS[0]), exact(1), affine=False)
+    for _ in range(times):
+        a = mul(a, a)
+    return a
+
+
+def test_a_value_of_2_to_the_60_paths_is_one_object_and_hashes_at_once():
+    # A tree walk of either value, as a structural `==`, `hash` or `repr`
+    # is, would visit 2**60 leaves, so no assertion below names a value:
+    # pytest would print its repr.
+    first, second = _squared(60), _squared(60)
+    same = first is second
+    assert same
+    assert {first: "found"}[second] == "found"
+
+
+SQUARING = """input x;
+output a;
+a := real3(A) + 1;
+while x != 0 do {
+  a := a * a;
+  x := x - 1
+}"""
+
+
+def _run_squaring():
+    return eval_stages(
+        parse(SQUARING), [Fraction(10)], range(8), {"A": builtin_set("primes")},
+        use_fast_path=False,
+    )
+
+
+def test_each_stage_gets_back_the_nodes_of_the_stage_before():
+    first, *rest = _run_squaring().outputs["a"]
+    assert type(first) is SymExpr and len(rest) == 7
+    assert all(a is first for a in rest)
+
+
+def test_no_node_outlives_its_value():
+    gc.collect()
+    before = len(exactnum._NODES)
+    seq = _run_squaring()
+    assert len(exactnum._NODES) >= before + 10
+    del seq
+    gc.collect()
+    assert len(exactnum._NODES) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(_digits, _digits, _tree, _tree, st.data())
+def test_a_rebuilt_quotient_is_one_node_with_the_divisor_depth_of_its_first_build(
+    da, db, ta, tb, data
+):
+    # A `/` node's `den_prec` is the first depth at which the divisor's
+    # enclosure excludes zero, and depends on the divisor alone: a rebuild
+    # under another stage's recorder and another sufficient fuel finds the
+    # same depth, so the live node it gets back is right for it.
+    streams = (finite_stream("A", da), finite_stream("B", db))
+
+    def build():
+        a = _build(ta, streams, False)
+        b = sub(_build(tb, streams, False), oracle_const(streams[1]), affine=False)
+        return a, b
+
+    decided = []
+
+    def recording(*args):
+        decided.append(real(*args))
+        return decided[-1]
+
+    real, first = exactnum._decide, QueryRecorder()
+    with mock.patch.object(exactnum, "_decide", recording):
+        quotient = _resolved(lambda: div(*build(), False, PROPERTY_FUEL, first))
+        assume(quotient is not None)
+        fuel = data.draw(
+            st.integers(first.count, 2 * PROPERTY_FUEL).filter(lambda f: f != PROPERTY_FUEL)
+        )
+        again = div(*build(), False, fuel, QueryRecorder())
+    assert type(quotient) is SymExpr and again is quotient
+    assert quotient.den_prec == decided[0] == decided[1]
