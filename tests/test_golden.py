@@ -40,6 +40,11 @@ RUNS = {
         0,
     ),
     "verdicts": (["--input", "1/2", "--stages", "0..7"], 0),
+    "interval_chain": (
+        ["--input", "20", "--oracle", "A=primes", "--no-fast-path", "--cmp-fuel", "20",
+         "--stages", "0..7"],
+        1,
+    ),
 }
 STEMS = sorted([Path(name).stem for name in CORPUS_PROGRAMS] + list(RUNS))
 
