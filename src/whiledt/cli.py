@@ -161,6 +161,8 @@ def load_run(args) -> dict:
             if "=" not in spec:
                 raise ValueError(f"--oracle expects NAME=SRC, got {spec!r}")
             oname, src = (part.strip() for part in spec.split("=", 1))
+            if oname in binding:
+                raise ValueError(f"oracle {oname!r} is bound twice")
             binding[oname] = resolve_oracle(oname, src, defs)
             descr[oname] = src
     except (ValueError, KeyError, OSError, MacroError) as e:

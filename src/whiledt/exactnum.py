@@ -14,6 +14,13 @@ value lies in [0, 3/2] and partial sums approach it from below.
 The interval route walks expressions with explicit stacks, so it works at
 any expression depth, and the enclosures a stage computes are kept in its
 QueryRecorder and reused within that stage by the next refinement.
+A chain of rational steps (`+`, `-` or `*` with a rational on either
+side, `/` by a rational) is enclosed in one step, as offset + scale times
+the enclosure of the node below it, and these maps are kept next to the
+enclosures.  Each step is an exact affine image of its operand's
+interval, so the composed map gives the interval a node-by-node walk
+gives, from the same digits at the same depth: the digits read, the query
+counts, the verdicts and the refusal texts are unchanged.
 A floor or `refine` of an Affine value starts at the first digit count
 whose enclosure is narrow enough to decide.  An Affine's enclosure width
 is known before any digit is read, and every enclosure it skips is too
@@ -54,7 +61,8 @@ class QueryRecorder:
         self.members = set()
         self.count = 0
         # (node, depth) -> Interval for each SymExpr enclosed by the current
-        # refinement and by the one before it
+        # refinement and by the one before it, and node -> its map
+        # (offset, scale, base) for each chain node they walked (`_map`)
         self.enclosures = {}
         self.previous = {}
 
@@ -421,19 +429,29 @@ def _enclose(x, j, fuel) -> Interval:
     """Raw enclosure at refinement depth j (nested, shrinking in j).
 
     The walk keeps its own stack and encloses lhs before rhs, so digits are
-    read in the order of the expression.  A SymExpr's enclosure at a depth
-    is kept in the stage's recorder, for this refinement and the next, and
-    read back from there: the digits it was made from are held by the
-    stage, so reading them again is free.
+    read in the order of the expression.  A SymExpr with a rational operand
+    is enclosed in one step, as the image of its base's enclosure under
+    its map (see `_map`), so a chain of rational steps costs one base
+    enclosure and two products per depth, however long it is.  The image
+    is the interval the node-by-node fold computes: each rational step is
+    an exact affine image, monotone in its other operand.  Only the base
+    reads digits, as in the fold, at the same depth.
+
+    A SymExpr's enclosure at a depth and its map are kept in the stage's
+    recorder, for this refinement and the next, and read back from there:
+    the digits they were made from are held by the stage, so reading them
+    again is free.
     """
     memo, previous = fuel.recorder.enclosures, fuel.recorder.previous
-    done, todo = [], [(x, j, False)]
+    done, todo = [], [(x, j, None)]
     while todo:
-        v, d, ready = todo.pop()
-        if ready:
+        v, d, then = todo.pop()
+        if then is True:  # both operands are enclosed
             rhs = done.pop()
-            iv = _combine(v.op, done.pop(), rhs)
-            memo[v, d] = iv
+            iv = memo[v, d] = _combine(v.op, done.pop(), rhs)
+            done.append(iv)
+        elif then is not None:  # the base is enclosed; then is v's map
+            iv = memo[v, d] = _image(then, done.pop())
             done.append(iv)
         elif type(v) is Fraction:
             done.append(Interval(v, v))
@@ -446,11 +464,67 @@ def _enclose(x, j, fuel) -> Interval:
                 memo[key] = hit
                 done.append(hit)
                 continue
+            m = _map(v, memo, previous)
+            if m is not None:
+                todo += ((v, d, m), (m[2], d, None))
+                continue
             rd = max(d, v.den_prec) if v.op == "/" else d
-            todo += ((v, d, True), (v.rhs, rd, False), (v.lhs, d, False))
+            todo += ((v, d, True), (v.rhs, rd, None), (v.lhs, d, None))
         else:
             raise TypeError(f"not an ExactReal: {v!r}")
     return done[0]
+
+
+def _map(v, memo, previous):
+    """v's map (offset, scale, base), v = offset + scale * base, when v is a
+    SymExpr with a rational operand, else None.  The base is the first node
+    below v's chain of rational steps that is not one: an Affine, or a
+    SymExpr with no rational operand or of the form `c / x`, which is not
+    affine in x.
+
+    A node's map is built from its child's, and kept in `memo` with the
+    enclosures, so a chain that grows by a step builds one new map."""
+    chain, m = [], None
+    while type(v) is SymExpr:
+        if type(v.rhs) is Fraction:
+            inner = v.lhs
+        elif type(v.lhs) is Fraction and v.op != "/":
+            inner = v.rhs
+        else:
+            break
+        m = memo.get(v) or previous.get(v)
+        if m is not None:
+            memo[v] = m
+            break
+        chain.append(v)
+        v = inner
+    if not chain:
+        return m
+    if m is None:
+        m = (Fraction(0), Fraction(1), v)
+    for v in reversed(chain):
+        m = memo[v] = _compose(v, m)
+    return m
+
+
+def _compose(v, m):
+    """The map of v, one rational step above its other operand's map m:
+    the Affine rule of `_node`, with the base in place of the stream."""
+    offset, scale, base = m
+    a, b, f = v.lhs, v.rhs, _ARITH[v.op]
+    if type(b) is Fraction:  # x op c
+        return f(offset, b), scale if v.op in "+-" else f(scale, b), base
+    # c op x, op one of + - *: the scale is kept, negated or scaled by c
+    return f(a, offset), f(0, scale) if v.op in "+-" else f(a, scale), base
+
+
+def _image(m, iv):
+    """The enclosure offset + scale * iv of a node with map m."""
+    offset, scale, _ = m
+    # scale.numerator, not scale itself: comparing a Fraction with 0 goes
+    # through the numbers ABCs
+    lo, hi = (iv.lo, iv.hi) if scale.numerator > 0 else (iv.hi, iv.lo)
+    return Interval(offset + scale * lo, offset + scale * hi)
 
 
 def _combine(op, a, b):
@@ -459,14 +533,6 @@ def _combine(op, a, b):
     if op == "-":
         return Interval(a.lo - b.hi, a.hi - b.lo)
     if op == "*":
-        # An interval whose ends are one object is a point, as `_enclose`
-        # builds for a rational operand: scale the other side with two
-        # products, the ends the four-product rule picks, with no `min` or
-        # `max`, whose Fraction comparisons go through the numbers ABCs.
-        if a.lo is a.hi:
-            return _scale(a.lo, b)
-        if b.lo is b.hi:
-            return _scale(b.lo, a)
         prods = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
         return Interval(min(prods), max(prods))
     if op == "/":
@@ -477,14 +543,6 @@ def _combine(op, a, b):
         quots = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
         return Interval(min(quots), max(quots))
     raise ValueError(f"unknown operator {op!r}")
-
-
-def _scale(c, iv):
-    # c.numerator, not c itself: comparing a Fraction with 0 goes through
-    # the numbers ABCs
-    if c.numerator < 0:
-        return Interval(c * iv.hi, c * iv.lo)
-    return Interval(c * iv.lo, c * iv.hi)
 
 
 def refine(x, k, fuel_limit=DEFAULT_FUEL, recorder=None) -> Interval:
@@ -505,7 +563,7 @@ def refine(x, k, fuel_limit=DEFAULT_FUEL, recorder=None) -> Interval:
 # of lhs - rhs: True or False once the enclosure decides, else None.  `=`
 # can only ever be refuted numerically, and `!=` only confirmed.  cmp_holds
 # passes the ends' numerators, which carry their signs: comparing a
-# Fraction with 0 goes through the numbers ABCs, as `_scale` notes.
+# Fraction with 0 goes through the numbers ABCs, as `_image` notes.
 RAT_CMP = {
     "<": operator.lt,
     "<=": operator.le,

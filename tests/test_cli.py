@@ -240,6 +240,29 @@ def test_run_parse_error_exits_one(tmp_path, capsys):
     assert err == f"error: {bad}: 1:10: duplicate parameter 'a'\n"
 
 
+def test_an_oracle_bound_twice_exits_two(tmp_path, capsys):
+    # the last binding used to win: y printed as constant 0, exit 0
+    decide = corpus_file("decide.whdt")
+    for second in ("A=evens", "A=primes", " A = evens"):
+        code, out, err = run_cli(capsys, "run", decide, "--input=3",
+                                 "--oracle", "A=primes", "--oracle", second)
+        assert (code, out, err) == (2, "", "error: oracle 'A' is bound twice\n")
+    # a corpus header goes through the same loader
+    body = Path(decide).read_text().split("input x;", 1)[1]
+    prog = tmp_path / "twice.whdt"
+    prog.write_text(
+        "# expect-input: 3\n# expect-oracle: A = primes\n# expect-oracle: A = evens\n"
+        "# expect-output: y = constant 1\ninput x;" + body
+    )
+    assert cli.verify_corpus_file(prog) == (None, ["oracle 'A' is bound twice"])
+    code, out, err = run_cli(capsys, "corpus", "--dir", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert out == (
+        "twice.whdt  FAIL\n            - oracle 'A' is bound twice\n"
+        "0/1 corpus programs pass\n"
+    )
+
+
 def test_characters_outside_the_token_classes_exit_one(tmp_path, capsys):
     # `str.isdigit` accepts `²`, which `Fraction` rejects: these runs
     # ended in a ValueError traceback

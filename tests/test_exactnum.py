@@ -4,6 +4,7 @@ import gc
 import math
 import operator
 import random
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_stream, stream_value, true_value
-from whiledt import exactnum
+from whiledt import exactnum, semantics
 from whiledt.errors import DivisionByZero, OracleQueryLimit, UnresolvedComparison
 from whiledt.exactnum import (
     RAT_CMP,
@@ -221,13 +222,16 @@ _end = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.just(Fraction(0)), _end), _end, _end, st.booleans())
-def test_scaling_by_a_rational_gives_the_four_product_ends(c, p, q, left):
-    # a rational operand encloses as the point Interval(c, c)
+@given(st.one_of(st.just(Fraction(0)), _end), _end, _end, _end)
+def test_scaling_by_a_rational_gives_the_four_product_ends(c, p, q, offset):
+    # c * x encloses as the image of x's enclosure under the map (0, c, x),
+    # which must be the ends the four-product rule picks for the point
+    # Interval(c, c) times it, and a map with an offset shifts them
     point, iv = Interval(c, c), Interval(min(p, q), max(p, q))
-    a, b = (point, iv) if left else (iv, point)
-    prods = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    assert _combine("*", a, b) == Interval(min(prods), max(prods))
+    want = _combine("*", point, iv)
+    assert exactnum._image((Fraction(0), c, None), iv) == want
+    shifted = _combine("+", Interval(offset, offset), want)
+    assert exactnum._image((offset, c, None), iv) == shifted
 
 
 def test_compare_symbolic_against_rational():
@@ -848,3 +852,194 @@ def test_a_rebuilt_quotient_is_one_node_with_the_divisor_depth_of_its_first_buil
         again = div(*build(), False, fuel, QueryRecorder())
     assert type(quotient) is SymExpr and again is quotient
     assert quotient.den_prec == decided[0] == decided[1]
+
+
+# Rational chains: the interval route encloses a SymExpr with a rational
+# operand as one affine image of its chain's base, which must be the
+# interval the node-by-node fold below computes, from the same digits.
+
+
+def _fold_enclosure(x, d, fuel):
+    """x's enclosure at depth d, folded node by node with `_combine`, with
+    no stage-held enclosures: lhs before rhs, a rational as a point, an
+    Affine with d + 1 digits and a `/` divisor at its `den_prec`."""
+    if type(x) is Fraction:
+        return Interval(x, x)
+    if type(x) is Affine:
+        s = x.stream.prefix_sum(d + 1, fuel)
+        ends = (x.offset + x.coeff * s, x.offset + x.coeff * (s + tail_bound(d + 1)))
+        return Interval(min(ends), max(ends))
+    lhs = _fold_enclosure(x.lhs, d, fuel)
+    rd = max(d, x.den_prec) if x.op == "/" else d
+    return _combine(x.op, lhs, _fold_enclosure(x.rhs, rd, fuel))
+
+
+def _fold_decide(x, fuel_limit, rec, verdict, what):
+    """`_decide` over the depth schedule 0, 1, 2, 4, ... of folded
+    enclosures."""
+    fuel, last, j = Fuel(fuel_limit, rec), None, 0
+    try:
+        while True:
+            last = _fold_enclosure(x, j, fuel)
+            answer = verdict(last)
+            if answer is not None:
+                return answer
+            j = max(j + 1, 2 * j)
+    except OracleQueryLimit:
+        raise UnresolvedComparison(
+            f"{what} unresolved after {fuel_limit} digit queries; last enclosure {last}"
+        ) from None
+
+
+_CHAIN_STEPS = {
+    "x+c": lambda x, c, aff: add(x, c, affine=aff),
+    "c+x": lambda x, c, aff: add(c, x, affine=aff),
+    "x-c": lambda x, c, aff: sub(x, c, affine=aff),
+    "c-x": lambda x, c, aff: sub(c, x, affine=aff),
+    "x*c": lambda x, c, aff: mul(x, c or exact(2), affine=aff),
+    "c*x": lambda x, c, aff: mul(c or exact(-3), x, affine=aff),
+    "x/c": lambda x, c, aff: div(x, c or exact(3), affine=aff),
+    # a symbolic divisor: skipped when it does not separate from zero
+    "c/x": lambda x, c, aff: _resolved(lambda: div(c, x, aff, 60, QueryRecorder())) or x,
+}
+_chain_step = st.tuples(st.sampled_from(sorted(_CHAIN_STEPS)), _small)
+# chains of every length up to 40, not mostly short ones
+_chain = st.integers(0, 40).flatmap(lambda n: st.lists(_chain_step, min_size=n, max_size=n))
+
+
+def _chained(x, steps, affine):
+    for name, c in steps:
+        x = _CHAIN_STEPS[name](x, c, affine)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _digits, _digits, st.sampled_from(("affine", "product", "quotient")), _chain,
+    st.sampled_from(("none", "product", "divisor")),
+    st.lists(_chain_step, max_size=5),
+    st.booleans(), st.integers(1, 30), _small, st.sampled_from(sorted(RAT_CMP)),
+)
+def test_rational_chains_enclose_as_the_node_by_node_fold(
+    ds, dt, base, steps, nest, outer, affine, fuel, c, op
+):
+    s, t = oracle_const(finite_stream("S", ds)), oracle_const(finite_stream("T", dt))
+    x = {
+        "affine": lambda: add(exact(Fraction(1, 2)), mul(exact(-2), s, affine), affine),
+        "product": lambda: mul(s, t, affine=affine),
+        "quotient": lambda: div(s, sub(t, exact(Fraction(1, 7)), affine=affine), affine),
+    }[base]()
+    x = _chained(x, steps, affine)
+    if nest == "product":
+        x = mul(x, t, affine=affine)
+    elif nest == "divisor":
+        x = _resolved(lambda: div(t, x, affine, 60, QueryRecorder())) or x
+    x = _chained(x, outer, affine)
+    # the same digits, enclosures and counts at every depth, on a recorder
+    # that keeps what each depth made for the next
+    ours, ref = QueryRecorder(), QueryRecorder()
+    for d in range(9):
+        got = exactnum._enclose(x, d, Fuel(100, ours))
+        assert got == _fold_enclosure(x, d, Fuel(100, ref))
+        assert (ours.prefix, ours.count) == (ref.prefix, ref.count)
+    if type(x) is not SymExpr:
+        return  # an Affine takes its own route, which chains do not touch
+    d = sub(x, c)
+    holds = exactnum._ENCLOSURE_CMP[op]
+    searches = (
+        (lambda rec: floor_value(x, fuel, rec),
+         lambda rec: _fold_decide(x, fuel, rec, _floor_of, "floor")),
+        (lambda rec: cmp_holds(op, x, c, fuel, rec),
+         lambda rec: _fold_decide(
+             d, fuel, rec, lambda iv: holds(iv.lo.numerator, iv.hi.numerator),
+             f"guard `{op}`",
+         )),
+    )
+    # answers, refusal texts and counts, on a fresh stage and on one that
+    # holds the digits, enclosures and maps of the walk above
+    for call, fold in searches:
+        for warm, cold in ((QueryRecorder(), QueryRecorder()),
+                           (_copy(ours, True), _copy(ref, False))):
+            assert _outcome(lambda: call(warm)) == _outcome(lambda: fold(cold))
+            assert (warm.prefix, warm.count) == (cold.prefix, cold.count)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(exactnum, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactnum, name, counted)
+    return calls
+
+
+def test_floor_of_a_long_chain_makes_a_few_interval_operations_per_depth(monkeypatch):
+    # floor(3**200 * A) without the fast path is decided at depth 256, the
+    # tenth of the schedule.  Each depth encloses the chain as one image of
+    # its base: the Affine's enclosure, or the product's from one `_combine`.
+    # A node-by-node fold makes 200 `_combine` calls per depth.
+    digits = [1, 0, 0, 1, 1] * 42
+    want = Fraction(int("".join(map(str, digits[:201])), 3))
+    a, b = (oracle_const(finite_stream(n, digits)) for n in "AB")
+    combined = _counting(monkeypatch, "_combine")
+    for base, per_depth in ((a, 0), (mul(a, b), 1)):
+        x = base
+        for _ in range(200):
+            x = mul(exact(3), x, affine=False)
+        combined.clear()
+        got = floor_value(x, recorder=QueryRecorder())
+        assert len(combined) <= 10 * per_depth
+        if base is a:
+            assert got == want
+
+
+CHAIN_GUARD = """input x;
+output z;
+a := real3(A);
+z := 0;
+while x != 0 do {
+  a := 3 * a;
+  if a - 2 > 0 then z := z + 1 else skip;
+  x := x - 1
+}"""
+
+
+def test_a_chain_compared_every_turn_builds_a_few_maps_per_turn(monkeypatch):
+    # Each turn's guard finds the map of the turn before's `a` among the
+    # stage's maps, so it builds those of `3 * a`, `a - 2` and `a - 2 - 0`.
+    built = _counting(monkeypatch, "_compose")
+    for x in (50, 200):
+        built.clear()
+        seq = eval_stages(
+            parse(CHAIN_GUARD), [Fraction(x)], range(2), {"A": builtin_set("primes")},
+            use_fast_path=False,
+        )
+        assert all(st.ok for st in seq.statuses)
+        assert len(built) <= 2 * 3 * x
+
+
+def test_no_map_or_enclosure_outlives_its_stage(monkeypatch):
+    # A stage's maps and enclosures are kept in its recorder: each is gone
+    # when the next stage starts, and no node is kept alive by them.
+    recorders = []
+
+    def recording():
+        gc.collect()
+        assert [r for r in recorders if r() is not None] == []
+        recorders.append(weakref.ref(rec := QueryRecorder()))
+        return rec
+
+    monkeypatch.setattr(semantics, "QueryRecorder", recording)
+    gc.collect()
+    nodes = len(exactnum._NODES)
+    seq = eval_stages(
+        parse(CHAIN_GUARD), [Fraction(30)], range(4), {"A": builtin_set("primes")},
+        use_fast_path=False,
+    )
+    assert len(recorders) == 4 and seq.outputs["z"][0] > 0
+    gc.collect()
+    assert [r for r in recorders if r() is not None] == []
+    assert len(exactnum._NODES) == nodes
